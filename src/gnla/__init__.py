@@ -29,7 +29,7 @@ from .sparse import (MatrixFormatError, SparseMatrixCSR, from_coo, from_dense,
                      identity, read_matrix_market, spmm_csr, spmv_csr,
                      write_matrix_market)
 from .train import (EvalReport, TrainConfig, TrainResult, compare_methods,
-                    diffusion_loss, eval_jacobi, freq_sweep_eval, jacobi_loss,
-                    omega_co, stencil_probe, train_diffusion, train_jacobi)
+                    diffusion_loss, eval_jacobi, freq_sweep_eval, omega_co,
+                    stencil_probe, train_diffusion, train_jacobi)
 
 __version__ = "0.1.0"

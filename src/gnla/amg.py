@@ -51,13 +51,12 @@ def step(x: np.ndarray) -> np.ndarray:
     return (np.asarray(x) > 0).astype(np.float64)
 
 
-def soc_classic(A: SparseMatrixCSR, tau: float = 0.25,
-                threshold: bool = True) -> SparseMatrixCSR:
+def soc_classic(A: SparseMatrixCSR, tau: float = 0.25) -> SparseMatrixCSR:
     """Classic strength S_ij = -A_ij / max_{k != i}(-A_ik), two layers.
 
-    With ``threshold`` the entries become step(S_ij - tau); the surviving ones
-    (value 1) mark strong connections. Rows with no negative off-diagonal have
-    an undefined metric and raise.
+    The entries become step(S_ij - tau); the surviving ones (value 1) mark
+    strong connections. Rows with no negative off-diagonal have an undefined
+    metric and raise.
     """
     if not (0 < tau <= 1):
         raise ValueError("tau must lie in (0, 1]")
@@ -82,11 +81,7 @@ def soc_classic(A: SparseMatrixCSR, tau: float = 0.25,
         raise ValueError(f"row {bad[0]} has no negative off-diagonal; "
                          "classic strength is undefined")
 
-    if threshold:
-        phi_e2 = lambda E, Vs, Vd, g: step(-E[:, :1] / Vd[:, :1] - tau)
-    else:
-        phi_e2 = lambda E, Vs, Vd, g: -E[:, :1] / Vd[:, :1]
-    layer2 = GNLayerSpec(phi_e=phi_e2)
+    layer2 = GNLayerSpec(phi_e=lambda E, Vs, Vd, g: step(-E[:, :1] / Vd[:, :1] - tau))
     # restore A_ij on the edges for the second layer's update
     mid2 = apply_layer(
         apply_layer(mid, GNLayerSpec(phi_e=lambda E, Vs, Vd, g: graph.edge_attrs)),

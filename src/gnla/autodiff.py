@@ -7,7 +7,7 @@ matrices are always constants on the tape; only dense leaves receive gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,11 +169,6 @@ def vsum(x: Var, axis=None) -> Var:
                               (lambda g: np.broadcast_to(g, shape).copy(),))
     return x.tape._record(x.value.sum(axis=axis), (x.idx,),
                           (lambda g: np.broadcast_to(np.expand_dims(g, axis), shape).copy(),))
-
-
-def vmean(x: Var) -> Var:
-    n = x.value.size
-    return scalar_mul(1.0 / n, vsum(x))
 
 
 def vmax(x: Var) -> Var:

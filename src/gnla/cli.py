@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -13,7 +14,7 @@ from . import amg, kernels, nn, train as tr
 from .fem import (DiffusionDataConfig, JacobiDataConfig, diffusion_instance,
                   gen_diffusion_dataset, gen_jacobi_dataset, jacobi_instance,
                   read_instance, write_instance)
-from .sparse import SparseMatrixCSR, dense_vector, from_coo, read_matrix_market
+from .sparse import SparseMatrixCSR, dense_vector, diag, from_coo, read_matrix_market
 
 CONFIG_VERSION = 1
 
@@ -25,12 +26,11 @@ class UsageError(Exception):
 # -- run configuration --------------------------------------------------------
 
 _SCHEMA = {
-    "": {"version", "seed", "output_dir", "dataset", "train", "eval"},
+    "": {"version", "seed", "output_dir", "dataset", "train"},
     "dataset": {"kind", "N_y", "beta_frac_min", "beta_frac_max", "counts",
                 "N_min", "N_max", "theta_max"},
     "train": {"epochs_max", "batch_size", "lr", "K", "m", "early_stop",
               "probe_style"},
-    "eval": {"k", "eig_method", "theta_grid_max", "sweep_N"},
 }
 
 
@@ -91,6 +91,12 @@ def _write_dataset(out_dir: str, kind: str, dcfg, force: bool) -> dict:
         manifest["splits"][split] = names
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
+    # a --force run over a larger dataset must not leave its instances behind
+    listed = {name for names in manifest["splits"].values() for name in names}
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        if name.startswith("inst_") and name not in listed and os.path.isdir(path):
+            shutil.rmtree(path)
     return manifest
 
 
@@ -235,14 +241,12 @@ def cmd_eval(args) -> int:
         test = datasets["test"]
         if args.omega is not None:
             # trivial baseline model: d_i = omega / A_ii stands in for "learned"
-            from .sparse import diag as _diag
-            report = _compare_with_diag(test, lambda A: args.omega / _diag(A), args.k)
-        else:
-            if store is None:
-                raise UsageError("eval jacobi needs --checkpoint or --omega")
-            if store.model.param_count != nn.jacobi_model_spec().param_count:
-                raise UsageError("checkpoint architecture does not match the jacobi model")
-            report = tr.compare_methods(test, store, k=args.k)
+            store = lambda A: args.omega / diag(A)
+        elif store is None:
+            raise UsageError("eval jacobi needs --checkpoint or --omega")
+        elif store.model.param_count != nn.jacobi_model_spec().param_count:
+            raise UsageError("checkpoint architecture does not match the jacobi model")
+        report = tr.compare_methods(test, store, k=args.k)
         tr.write_eig_report(os.path.join(out_dir, "eig_report.csv"), report)
         tr.write_winners(os.path.join(out_dir, "winners.csv"), report)
         for b, f in report.fractions.items():
@@ -270,33 +274,6 @@ def cmd_eval(args) -> int:
         print(f"constant-coefficient probe (target 0.001, 0.8): "
               f"alpha={a:.6f}, beta={b:.6f}")
     return 0
-
-
-def _compare_with_diag(test, diag_fn, k) -> tr.EvalReport:
-    """compare_methods with an explicit diagonal rule in place of the model."""
-    from .fem import sine_mode_basis
-    report = tr.EvalReport(max_eigs={m: [] for m in ("learned",) + tr.BASELINES})
-    for inst in test:
-        mid = inst.meta.get("index", 0)
-        _, V_hf = sine_mode_basis(inst.coords, inst.meta["N_y"] - 2)
-        radii = {}
-        for method in ("learned",) + tr.BASELINES:
-            d = diag_fn(inst.A) if method == "learned" else \
-                tr.method_diagonal(method, inst.A)
-            est = tr.eval_jacobi(d, inst.A, V_hf, k=k)
-            radii[method] = est.spectral_radius
-            report.max_eigs[method].append(est.spectral_radius)
-            for rank, val in enumerate(est.values):
-                report.eig_rows.append((mid, method, rank, float(val)))
-        winner = min(radii, key=radii.get)
-        report.winner_rows.append(
-            (mid, 2 * inst.meta["beta"], inst.meta["band_x"], winner))
-    learned = np.array(report.max_eigs["learned"])
-    for b in tr.BASELINES:
-        base = np.array(report.max_eigs[b])
-        report.diffs[b] = (base - learned).tolist()
-        report.fractions[b] = float(np.mean(learned < base))
-    return report
 
 
 def cmd_demo_amg(args) -> int:
@@ -357,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gnla",
         description="Sparse linear-algebra kernels as graph networks, plus the "
                     "two learned-relaxation experiments.")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker-pool cap (outputs are independent of it)")
     sub = p.add_subparsers(dest="command", required=True)
 
     k = sub.add_parser("kernel", help="run a GNN kernel against its oracle")

@@ -64,16 +64,8 @@ def _shape_gradients(xi: float, eta: float) -> np.ndarray:
     return 0.25 * np.column_stack([cx * (1.0 + cy * eta), cy * (1.0 + cx * xi)])
 
 
-def _shape_values(xi: float, eta: float) -> np.ndarray:
-    return 0.25 * (1.0 + _REF_CORNERS[:, 0] * xi) * (1.0 + _REF_CORNERS[:, 1] * eta)
-
-
-def element_stiffness(coords4: np.ndarray, alpha=None, beta=None) -> np.ndarray:
-    """4x4 stiffness of one bilinear quad for -d/dx(a du/dx) - d/dy(b du/dy).
-
-    ``alpha``/``beta`` are callables of (x, y) evaluated at the 2x2 Gauss
-    points, or None for the Laplace case a = b = 1.
-    """
+def element_stiffness(coords4: np.ndarray) -> np.ndarray:
+    """4x4 stiffness of one bilinear quad for -Laplace, by 2x2 Gauss quadrature."""
     K = np.zeros((4, 4))
     for xi in _GAUSS:
         for eta in _GAUSS:
@@ -83,42 +75,20 @@ def element_stiffness(coords4: np.ndarray, alpha=None, beta=None) -> np.ndarray:
             if det <= 0:
                 raise ValueError("degenerate element (non-positive Jacobian)")
             G = dN @ np.linalg.inv(J)     # physical gradients, (4, 2)
-            if alpha is None and beta is None:
-                K += det * (G @ G.T)
-            else:
-                x, y = _shape_values(xi, eta) @ coords4
-                a = 1.0 if alpha is None else float(alpha(x, y))
-                b = 1.0 if beta is None else float(beta(x, y))
-                K += det * (a * np.outer(G[:, 0], G[:, 0])
-                            + b * np.outer(G[:, 1], G[:, 1]))
+            K += det * (G @ G.T)
     return K
 
 
-def _assemble(coords, elements, dof_of_vertex, n_dofs, alpha=None, beta=None):
-    rows, cols, vals = [], [], []
-    cache: dict = {}
-    for elem in elements:
-        if alpha is None and beta is None:
-            # unit coefficients: stiffness depends only on the element shape
-            rel = coords[elem] - coords[elem][0]
-            key = tuple(np.round(rel, 12).ravel())
-            K = cache.get(key)
-            if K is None:
-                K = cache[key] = element_stiffness(coords[elem])
-        else:
-            K = element_stiffness(coords[elem], alpha, beta)
-        dofs = dof_of_vertex[elem]
-        for a in range(4):
-            if dofs[a] < 0:
-                continue
-            for b in range(4):
-                if dofs[b] < 0:
-                    continue
-                rows.append(dofs[a])
-                cols.append(dofs[b])
-                vals.append(K[a, b])
-    return from_coo(n_dofs, np.array(rows), np.array(cols), np.array(vals),
-                    sum_duplicates=True)
+def _scatter(n_dofs: int, dofs: np.ndarray, blocks: np.ndarray) -> SparseMatrixCSR:
+    """Sum (Ne, 4, 4) element blocks at their (Ne, 4) dofs; dofs < 0 are dropped.
+
+    Duplicates are summed in element order, then local row, then local column.
+    """
+    rows = np.repeat(dofs, 4, axis=1)
+    cols = np.tile(dofs, (1, 4))
+    keep = (rows >= 0) & (cols >= 0)
+    return from_coo(n_dofs, rows[keep], cols[keep],
+                    blocks.reshape(len(blocks), 16)[keep], sum_duplicates=True)
 
 
 # -- band mesh (Dirichlet Laplace experiment) --------------------------------
@@ -161,7 +131,14 @@ def assemble_laplace_dirichlet(mesh: QuadMesh) -> SparseMatrixCSR:
     dof = np.full(mesh.num_vertices, -1, dtype=np.int64)
     interior = mesh.interior()
     dof[interior] = np.arange(len(interior))
-    return _assemble(mesh.coords, mesh.elements, dof, len(interior))
+    # the stiffness depends only on the element shape: compute it once per
+    # shape, keyed by the rounded corners relative to the first (-0.0 -> +0.0)
+    corners = mesh.coords[mesh.elements]
+    key = np.round(corners - corners[:, :1], 12).reshape(len(corners), 8) + 0.0
+    _, first, shape_of = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    K = np.stack([element_stiffness(corners[e]) for e in first])
+    shape_of = shape_of.reshape(-1)      # NumPy 2.0.0 returns it as a column
+    return _scatter(len(interior), dof[mesh.elements], K[shape_of])
 
 
 # -- periodic diffusion problem ----------------------------------------------
@@ -204,9 +181,7 @@ def assemble_diffusion_periodic(N: int, theta_ax: int = 0, theta_ay: int = 0,
             b_vals = np.broadcast_to(np.asarray(beta(gx, gy), dtype=np.float64), c.shape)
             K_all += det * (a_vals[:, None, None] * np.outer(G[:, 0], G[:, 0])
                             + b_vals[:, None, None] * np.outer(G[:, 1], G[:, 1]))
-    A = from_coo(N * N, np.repeat(conn, 4, axis=1).ravel(),
-                 np.tile(conn, (1, 4)).ravel(), K_all.ravel(),
-                 sum_duplicates=True)
+    A = _scatter(N * N, conn, K_all)
     targets = np.column_stack([alpha(coords[:, 0], coords[:, 1]) * np.ones(N * N),
                                beta(coords[:, 0], coords[:, 1]) * np.ones(N * N)])
     meta = {"N": N, "h": h, "theta": [theta_ax, theta_ay, theta_bx, theta_by]}

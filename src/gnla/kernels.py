@@ -8,20 +8,11 @@ direct (non-graph) counterparts used for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph_net import GNLayerSpec, apply_layer, matrix_to_graph, with_attrs
 from .sparse import SparseMatrixCSR, dense_vector, diag, spmv_csr
-
-
-@dataclass
-class KernelResult:
-    """Bundle of kernel outputs for reporting (CLI use)."""
-
-    vectors: dict = field(default_factory=dict)
-    scalars: dict = field(default_factory=dict)
 
 
 def _column(k):

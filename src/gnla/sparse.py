@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,7 +165,11 @@ def transpose(A: SparseMatrixCSR) -> SparseMatrixCSR:
 
 
 def read_matrix_market(path) -> SparseMatrixCSR:
-    """Read a square matrix in Matrix Market coordinate format (general or symmetric)."""
+    """Read a square matrix in Matrix Market coordinate format.
+
+    The field type must be real or integer, the symmetry general or symmetric,
+    and every value finite.
+    """
     with open(path) as fh:
         lines = fh.readlines()
     if not lines:
@@ -177,6 +182,10 @@ def read_matrix_market(path) -> SparseMatrixCSR:
         or header[2].lower() != "coordinate"
     ):
         raise MatrixFormatError(f"{path}:1: malformed Matrix Market header")
+    field = header[3].lower()
+    if field not in ("real", "integer"):
+        raise MatrixFormatError(f"{path}:1: unsupported field type '{field}' "
+                                "(expected real or integer)")
     symmetry = header[4].lower() if len(header) > 4 else "general"
     if symmetry not in ("general", "symmetric"):
         raise MatrixFormatError(f"{path}:1: unsupported symmetry '{symmetry}'")
@@ -206,6 +215,8 @@ def read_matrix_market(path) -> SparseMatrixCSR:
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise MatrixFormatError(f"{path}:{no}: {exc}") from None
+        if not math.isfinite(v):
+            raise MatrixFormatError(f"{path}:{no}: non-finite value '{parts[2]}'")
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise MatrixFormatError(f"{path}:{no}: index ({i}, {j}) out of range")
         rows.append(i - 1)

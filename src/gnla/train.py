@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .fem import (ProblemInstance, assemble_diffusion_periodic, diffusion_graph,
-                  sine_mode_basis)
+from .fem import (FLOAT_FMT, ProblemInstance, assemble_diffusion_periodic,
+                  diffusion_graph, sine_mode_basis)
 from .sparse import SparseMatrixCSR, diag, spmm_csr, spmv_csr
-
-FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -77,12 +76,6 @@ def jacobi_probe_loss(d, A: SparseMatrixCSR, probes: np.ndarray, K: int):
         U = U - d[:, None] * spmm_csr(A, U)
     norms = np.sqrt((U * U).sum(axis=0))
     return float(np.max(norms ** (1.0 / K)))
-
-
-def jacobi_loss(d, A: SparseMatrixCSR, V_hf: np.ndarray, K: int, m: int, rng,
-                style: str = "columns"):
-    """Probe-sampling wrapper around :func:`jacobi_probe_loss`."""
-    return jacobi_probe_loss(d, A, sample_probes(V_hf, m, rng, style), K)
 
 
 def _jacobi_setup(instances, cfg: TrainConfig):
@@ -180,7 +173,6 @@ def _power_lam(mv, n, tol, max_iter, rng) -> float:
 @dataclass
 class EigEstimate:
     values: np.ndarray      # sorted by descending magnitude
-    converged: np.ndarray   # bool flag per value
 
     @property
     def spectral_radius(self) -> float:
@@ -194,58 +186,19 @@ def projected_iteration_matrix(d: np.ndarray, A: SparseMatrixCSR,
     return np.eye(V_hf.shape[1]) - V_hf.T @ (d[:, None] * AV)
 
 
-def eval_jacobi(d: np.ndarray, A: SparseMatrixCSR, V_hf: np.ndarray, k: int = 10,
-                method: str = "auto", tol: float = 1e-8,
-                max_iter: int = 5000) -> EigEstimate:
+def eval_jacobi(d: np.ndarray, A: SparseMatrixCSR, V_hf: np.ndarray,
+                k: int = 10) -> EigEstimate:
     """Top-k largest-magnitude eigenvalues of the projected error propagator.
 
-    ``method``: "power" (deflated power iteration), "dense" (exact eigensolve),
-    or "auto" (dense when the projected matrix is at most 400 wide).
+    The propagator is not symmetric, so all its eigenvalues come from one
+    dense eigensolve; a complex value is reported by its magnitude.
     """
     T = projected_iteration_matrix(np.asarray(d, dtype=np.float64), A, V_hf)
-    k = min(k, T.shape[0])
-    if method == "dense" or (method == "auto" and T.shape[0] <= 400):
-        w = np.linalg.eigvals(T)
-        order = np.argsort(-np.abs(w), kind="stable")[:k]
-        vals = np.where(np.abs(w[order].imag) <= 1e-8 * np.maximum(1.0, np.abs(w[order])),
-                        w[order].real, np.abs(w[order]))
-        return EigEstimate(np.asarray(vals, dtype=np.float64), np.ones(k, dtype=bool))
-    return _top_eigs_power(T, k, tol, max_iter)
-
-
-def _top_eigs_power(T, k, tol, max_iter) -> EigEstimate:
-    """Power iteration with orthogonalized deflation against converged vectors."""
-    n = T.shape[0]
-    rng = np.random.default_rng(2023)
-    Q = np.zeros((n, 0))
-    vals, flags = [], []
-    for _ in range(k):
-        v = rng.standard_normal(n)
-        v -= Q @ (Q.T @ v)
-        v /= np.linalg.norm(v)
-        lam_prev, lam, ok = np.inf, 0.0, False
-        for _ in range(max_iter):
-            w = T @ v
-            w -= Q @ (Q.T @ w)
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                ok = True
-                break
-            v = w / nw
-            lam = float(v @ (T @ v))
-            if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-                ok = True
-                break
-            lam_prev = lam
-        vals.append(lam)
-        flags.append(ok)
-        v -= Q @ (Q.T @ v)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            break
-        Q = np.column_stack([Q, v / nv])
-    order = np.argsort(-np.abs(vals), kind="stable")
-    return EigEstimate(np.asarray(vals)[order], np.asarray(flags)[order])
+    w = np.linalg.eigvals(T)
+    order = np.argsort(-np.abs(w), kind="stable")[:k]
+    vals = np.where(np.abs(w[order].imag) <= 1e-8 * np.maximum(1.0, np.abs(w[order])),
+                    w[order].real, np.abs(w[order]))
+    return EigEstimate(np.asarray(vals, dtype=np.float64))
 
 
 @dataclass
@@ -262,10 +215,8 @@ class EvalReport:
 BASELINES = ("omega_1", "omega_2_3", "omega_co")
 
 
-def method_diagonal(method: str, A: SparseMatrixCSR,
-                    store: nn.ParamStore | None = None) -> np.ndarray:
-    if method == "learned":
-        return nn.jacobi_model_forward(A, store)
+def method_diagonal(method: str, A: SparseMatrixCSR) -> np.ndarray:
+    """Relaxation diagonal omega / A_ii of one of the BASELINES."""
     omega = {"omega_1": 1.0, "omega_2_3": 2.0 / 3.0}.get(method)
     if omega is None:
         if method != "omega_co":
@@ -274,16 +225,23 @@ def method_diagonal(method: str, A: SparseMatrixCSR,
     return omega / diag(A)
 
 
-def compare_methods(test_set: list[ProblemInstance], store: nn.ParamStore,
-                    k: int = 10, eig_method: str = "auto") -> EvalReport:
+def compare_methods(test_set: list[ProblemInstance],
+                    store: nn.ParamStore | Callable[[SparseMatrixCSR], np.ndarray],
+                    k: int = 10) -> EvalReport:
+    """Spectral comparison of the "learned" diagonal against the BASELINES.
+
+    ``store`` is the model's ParamStore, or a rule A -> d that stands in for
+    the model (e.g. a constant-omega diagonal).
+    """
+    learned = store if callable(store) else (lambda A: nn.jacobi_model_forward(A, store))
     report = EvalReport(max_eigs={m: [] for m in ("learned",) + BASELINES})
     for inst in test_set:
         mid = inst.meta.get("index", 0)
         _, V_hf = sine_mode_basis(inst.coords, inst.meta["N_y"] - 2)
         radii = {}
         for method in ("learned",) + BASELINES:
-            d = method_diagonal(method, inst.A, store)
-            est = eval_jacobi(d, inst.A, V_hf, k=k, method=eig_method)
+            d = learned(inst.A) if method == "learned" else method_diagonal(method, inst.A)
+            est = eval_jacobi(d, inst.A, V_hf, k=k)
             radii[method] = est.spectral_radius
             report.max_eigs[method].append(est.spectral_radius)
             for rank, val in enumerate(est.values):

@@ -52,6 +52,34 @@ def test_kernel_bad_matrix_file_is_numerical_error(tmp_path):
     assert main(["kernel", "spmv", "--matrix", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("field, entry, message", [
+    ("pattern", "1 1", "bad.mtx:1: unsupported field type 'pattern'"),
+    ("complex", "1 1 1.0 0.0", "bad.mtx:1: unsupported field type 'complex'"),
+    ("real", "1 1 nan", "bad.mtx:4: non-finite value 'nan'"),
+    ("real", "1 1 -inf", "bad.mtx:4: non-finite value '-inf'"),
+])
+def test_kernel_matrix_field_type_and_non_finite_rejected(tmp_path, capsys,
+                                                          field, entry, message):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text(f"%%MatrixMarket matrix coordinate {field} general\n"
+                   f"% comment\n2 2 2\n{entry}\n2 2 1\n")
+    assert main(["kernel", "spmv", "--matrix", str(bad)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_kernel_integer_matrix_accepted(tmp_path):
+    mtx = tmp_path / "int.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate integer general\n"
+                   "2 2 2\n1 1 2\n2 2 3\n")
+    assert main(["kernel", "spmv", "--matrix", str(mtx)]) == 0
+
+
+def test_threads_flag_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "kernel", "spmv"])
+    assert exc.value.code == 2
+
+
 def test_gen_data_writes_instances_and_manifest(tmp_path):
     cfg = run_config(tmp_path)
     out = tmp_path / "data"
@@ -69,6 +97,17 @@ def test_gen_data_refuses_existing_dir(tmp_path):
     assert main(["gen-data", "--config", cfg, "--out", str(out), "--force"]) == 0
 
 
+def test_gen_data_force_removes_stale_instances(tmp_path):
+    out = tmp_path / "data"
+    big = run_config(tmp_path, dataset={"kind": "jacobi", "N_y": 8, "counts": [3, 2, 2]})
+    assert main(["gen-data", "--config", big, "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept")
+    small = run_config(tmp_path, dataset={"kind": "jacobi", "N_y": 8, "counts": [1, 1, 1]})
+    assert main(["gen-data", "--config", small, "--out", str(out), "--force"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "inst_0000", "inst_0001", "inst_0002", "manifest.json", "notes.txt"]
+
+
 def test_gen_data_same_seed_identical_bytes(tmp_path):
     cfg = run_config(tmp_path)
     for name in ("a", "b"):
@@ -83,6 +122,12 @@ def test_gen_data_same_seed_identical_bytes(tmp_path):
 def test_config_unknown_key_rejected(tmp_path):
     cfg = run_config(tmp_path, extra_section={"x": 1})
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+
+
+def test_config_eval_section_rejected(tmp_path, capsys):
+    cfg = run_config(tmp_path, eval={"k": 10})
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+    assert "unknown config key(s) in top level: ['eval']" in capsys.readouterr().err
 
 
 def test_config_missing_version_rejected(tmp_path):

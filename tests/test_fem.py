@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnla.fem import (DiffusionDataConfig, JacobiDataConfig,
                       assemble_diffusion_periodic, assemble_laplace_dirichlet,
@@ -64,6 +66,33 @@ def test_uniform_poisson_stencil():
     for off, v in row.items():
         if off != (0.0, 0.0):
             assert v == pytest.approx(-2.0 / 6.0, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_band_assembly_matches_per_element_oracle(data):
+    N_y = data.draw(st.integers(min_value=6, max_value=14), label="N_y")
+    frac = data.draw(st.floats(min_value=0.01, max_value=0.49), label="beta/h")
+    band_col = data.draw(st.integers(min_value=2, max_value=N_y - 3), label="band_col")
+    mesh = build_band_mesh(N_y, frac / (N_y - 1), band_col)
+    A = assemble_laplace_dirichlet(mesh)
+    # oracle: every element's own stiffness added into a dense matrix
+    interior = mesh.interior()
+    dof = np.full(mesh.num_vertices, -1)
+    dof[interior] = np.arange(len(interior))
+    dense = np.zeros((len(interior), len(interior)))
+    coupled = np.zeros(dense.shape, dtype=bool)
+    for elem in mesh.elements:
+        K = element_stiffness(mesh.coords[elem])
+        d = dof[elem]
+        inner = d >= 0
+        dense[np.ix_(d[inner], d[inner])] += K[np.ix_(inner, inner)]
+        coupled[np.ix_(d[inner], d[inner])] = True
+    pattern = np.zeros(dense.shape, dtype=bool)
+    pattern[A.row_of_entry(), A.col_idx] = True
+    assert np.array_equal(pattern, coupled)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(A.to_dense() - dense)) <= 1e-13 * scale
 
 
 def band_stencil(h, beta):

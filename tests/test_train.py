@@ -83,17 +83,8 @@ def test_projected_iteration_matrix_identity_case():
     omega = 0.3
     T = tr.projected_iteration_matrix(omega * np.ones(16), identity(16), V)
     assert np.allclose(T, (1 - omega) * np.eye(V.shape[1]), atol=1e-12)
-
-
-def test_eval_jacobi_power_matches_dense():
-    rng = np.random.default_rng(4)
-    A = tridiag(16)
-    _, V_hf = dst_basis(4)
-    d = rng.uniform(0.3, 0.6, 16)
-    dense = tr.eval_jacobi(d, A, V_hf, k=3, method="dense")
-    power = tr.eval_jacobi(d, A, V_hf, k=3, method="power")
-    assert np.allclose(np.abs(dense.values), np.abs(power.values), atol=1e-6)
-    assert dense.spectral_radius == pytest.approx(power.spectral_radius, abs=1e-6)
+    est = tr.eval_jacobi(omega * np.ones(16), identity(16), V, k=3)
+    assert np.allclose(est.values, [1 - omega] * 3, atol=1e-12)
 
 
 def test_method_diagonal():
@@ -123,10 +114,9 @@ def test_train_jacobi_deterministic_and_early_stop():
 
 
 def test_compare_methods_trivial_model_subsumes_baseline():
-    # a checkpoint predicting exactly omega/A_ii must tie the baseline rows
-    from gnla.cli import _compare_with_diag
+    # a rule predicting exactly omega/A_ii must tie the baseline rows
     data = small_jacobi_data()
-    report = _compare_with_diag(data["test"], lambda A: 1.0 / diag(A), k=5)
+    report = tr.compare_methods(data["test"], lambda A: 1.0 / diag(A), k=5)
     learned = {(m, k): v for m, meth, k, v in report.eig_rows if meth == "learned"}
     base = {(m, k): v for m, meth, k, v in report.eig_rows if meth == "omega_1"}
     assert learned == base
