@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_net import GNLayerSpec, apply_layer, graph_to_matrix, matrix_to_graph
+from .graph_net import (GNLayerSpec, apply_layer, graph_to_matrix, matrix_to_graph,
+                        with_attrs)
 from .kernels import jacobi_reference
 from .sparse import SparseMatrixCSR, dense_vector, diag, spmv_csr
 
@@ -83,10 +84,8 @@ def soc_classic(A: SparseMatrixCSR, tau: float = 0.25) -> SparseMatrixCSR:
 
     layer2 = GNLayerSpec(phi_e=lambda E, Vs, Vd, g: step(-E[:, :1] / Vd[:, :1] - tau))
     # restore A_ij on the edges for the second layer's update
-    mid2 = apply_layer(
-        apply_layer(mid, GNLayerSpec(phi_e=lambda E, Vs, Vd, g: graph.edge_attrs)),
-        layer2)
-    return graph_to_matrix(mid2)
+    mid = with_attrs(mid, edge_attrs=graph.edge_attrs)
+    return graph_to_matrix(apply_layer(mid, layer2))
 
 
 def soc_abs(A: SparseMatrixCSR, theta: float) -> SparseMatrixCSR:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseMatrixCSR, spmm_csr, spmv_csr, transpose
+from .sparse import SparseMatrixCSR, segment_reduce, spmm_csr, spmv_csr, transpose
 
 
 @dataclass
@@ -250,13 +250,8 @@ def _check_splits(x, splits):
 
 def segment_sum(x: Var, splits) -> Var:
     splits = _check_splits(x, splits)
-    v = np.atleast_2d(x.value)
-    n = len(splits) - 1
-    out = np.zeros((n, v.shape[1]))
-    nonempty = np.flatnonzero(np.diff(splits) > 0)
-    if len(nonempty):
-        out[nonempty] = np.add.reduceat(v, splits[:-1][nonempty], axis=0)
-    seg_of_row = np.repeat(np.arange(n), np.diff(splits))
+    out = segment_reduce(np.add, np.atleast_2d(x.value), splits)
+    seg_of_row = np.repeat(np.arange(len(out)), np.diff(splits))
 
     def vjp(g):
         return g[seg_of_row]
@@ -275,10 +270,7 @@ def _segment_extreme(x: Var, splits, ufunc) -> Var:
     splits = _check_splits(x, splits)
     v = np.atleast_2d(x.value)
     n = len(splits) - 1
-    out = np.zeros((n, v.shape[1]))
-    nonempty = np.flatnonzero(np.diff(splits) > 0)
-    if len(nonempty):
-        out[nonempty] = ufunc.reduceat(v, splits[:-1][nonempty], axis=0)
+    out = segment_reduce(ufunc, v, splits)
     seg_of_row = np.repeat(np.arange(n), np.diff(splits))
     # first row in each segment attaining the extreme, per column
     winners = np.full((n, v.shape[1]), -1, dtype=np.int64)

@@ -14,7 +14,8 @@ from . import amg, kernels, nn, train as tr
 from .fem import (DiffusionDataConfig, JacobiDataConfig, diffusion_instance,
                   gen_diffusion_dataset, gen_jacobi_dataset, jacobi_instance,
                   read_instance, write_instance)
-from .sparse import SparseMatrixCSR, dense_vector, diag, from_coo, read_matrix_market
+from .sparse import (SparseMatrixCSR, dense_vector, diag, from_coo, read_matrix_market,
+                     spectrum_bounds)
 
 CONFIG_VERSION = 1
 
@@ -141,7 +142,7 @@ def cmd_kernel(args) -> int:
         want = kernels.jacobi_reference(A, x, np.zeros(A.n), args.omega, args.iters)
     elif name == "chebyshev":
         if args.matrix:
-            lam = _spectrum_bounds(A)
+            lam = spectrum_bounds(A)
         else:  # closed-form extremes of the tridiagonal demo
             lam = 2.0 - 2.0 * np.cos(np.pi * np.array([1, A.n]) / (A.n + 1))
         got = kernels.gnn_chebyshev(A, x, np.zeros(A.n), lam[0], lam[1], args.iters)
@@ -165,12 +166,6 @@ def cmd_kernel(args) -> int:
     print("oracle:", np.round(np.asarray(want_a).ravel()[:10], 12).tolist())
     print(f"max relative discrepancy: {disc:.3e}")
     return 0 if disc < args.tol else 1
-
-
-def _spectrum_bounds(A: SparseMatrixCSR):
-    dense = A.to_dense()
-    w = np.linalg.eigvalsh((dense + dense.T) / 2)
-    return np.array([w[0], w[-1]])
 
 
 def _soc_classic_oracle(A: SparseMatrixCSR, tau: float) -> np.ndarray:

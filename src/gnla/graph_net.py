@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sparse import SparseMatrixCSR, diag, from_coo
+from .sparse import SparseMatrixCSR, diag, from_coo, segment_reduce
 
 Reducer = str | Callable | Sequence
 
@@ -115,12 +115,7 @@ def _segment_reduce(attrs: np.ndarray, splits: np.ndarray, name: str) -> np.ndar
         ufunc = {"sum": np.add, "min": np.minimum, "max": np.maximum}[name]
     except KeyError:
         raise ValueError(f"unknown reducer '{name}'") from None
-    n = len(splits) - 1
-    out = np.zeros((n, attrs.shape[1]))
-    nonempty = np.flatnonzero(np.diff(splits) > 0)
-    if len(nonempty):
-        out[nonempty] = ufunc.reduceat(attrs, splits[:-1][nonempty], axis=0)
-    return out
+    return segment_reduce(ufunc, attrs, splits)
 
 
 def aggregate_incoming(graph: AttributedGraph, edge_attrs: np.ndarray,

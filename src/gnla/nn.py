@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var
 from .graph_net import AttributedGraph
-from .sparse import SparseMatrixCSR, diag
+from .sparse import SparseMatrixCSR, diag, segment_reduce
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -237,13 +237,11 @@ def jacobi_model_inputs(A: SparseMatrixCSR) -> np.ndarray:
     feats[:, 0] = diag(A)
     counts = np.bincount(rows_off, minlength=A.n)
     splits = np.concatenate(([0], np.cumsum(counts)))
-    nonempty = np.flatnonzero(counts > 0)
-    if len(nonempty):
-        starts = splits[:-1][nonempty]
-        feats[nonempty, 1] = np.minimum.reduceat(vals, starts)
-        feats[nonempty, 3] = np.add.reduceat(vals, starts)
-        feats[nonempty, 2] = feats[nonempty, 3] / counts[nonempty]
-        feats[nonempty, 4] = np.maximum.reduceat(vals, starts)
+    feats[:, 1] = segment_reduce(np.minimum, vals, splits)
+    feats[:, 3] = segment_reduce(np.add, vals, splits)
+    feats[:, 4] = segment_reduce(np.maximum, vals, splits)
+    nonempty = counts > 0
+    feats[nonempty, 2] = feats[nonempty, 3] / counts[nonempty]
     return feats
 
 

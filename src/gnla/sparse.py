@@ -49,10 +49,16 @@ class SparseMatrixCSR:
             raise MatrixFormatError("col_idx and values length mismatch")
         if len(ci) and (ci.min() < 0 or ci.max() >= self.n):
             raise MatrixFormatError("column index out of range")
-        for i in range(self.n):
-            cols = ci[rp[i]:rp[i + 1]]
-            if np.any(np.diff(cols) <= 0):
-                raise MatrixFormatError(f"row {i}: columns not strictly increasing")
+        # compare each entry with the one before it, except at a row's start
+        bad = np.flatnonzero(np.diff(ci) <= 0) + 1
+        bad = bad[~np.isin(bad, rp)]
+        if len(bad):
+            raise MatrixFormatError(f"row {_row_of(rp, bad[0])}: "
+                                    "columns not strictly increasing")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if len(bad):
+            raise MatrixFormatError(f"row {_row_of(rp, bad[0])}: "
+                                    f"non-finite value {self.values[bad[0]]}")
 
     @property
     def nnz(self) -> int:
@@ -78,6 +84,11 @@ class SparseMatrixCSR:
         dense = np.zeros((self.n, self.n))
         dense[self.row_of_entry(), self.col_idx] = self.values
         return dense
+
+
+def _row_of(row_ptr: np.ndarray, k: int) -> int:
+    """Row holding stored entry ``k``."""
+    return int(np.searchsorted(row_ptr, k, side="right")) - 1
 
 
 def from_coo(n: int, rows, cols, vals, sum_duplicates: bool = False) -> SparseMatrixCSR:
@@ -126,7 +137,7 @@ def spmv_csr(A: SparseMatrixCSR, x: np.ndarray) -> np.ndarray:
     if x.shape != (A.n,):
         raise ValueError(f"dimension mismatch: matrix is {A.n}x{A.n}, vector has length {len(x)}")
     products = A.values * x[A.col_idx]
-    return _rowwise_sum(products, A.row_ptr)
+    return segment_reduce(np.add, products, A.row_ptr)
 
 
 def spmm_csr(A: SparseMatrixCSR, X: np.ndarray) -> np.ndarray:
@@ -135,19 +146,17 @@ def spmm_csr(A: SparseMatrixCSR, X: np.ndarray) -> np.ndarray:
     if X.shape[0] != A.n:
         raise ValueError("dimension mismatch")
     products = A.values[:, None] * X[A.col_idx]
-    return _rowwise_sum(products, A.row_ptr)
+    return segment_reduce(np.add, products, A.row_ptr)
 
 
-def _rowwise_sum(entries: np.ndarray, row_ptr: np.ndarray) -> np.ndarray:
-    """Sum entry slices delimited by row_ptr; empty rows sum to zero."""
-    n = len(row_ptr) - 1
-    out_shape = (n,) + entries.shape[1:]
-    out = np.zeros(out_shape)
-    starts = row_ptr[:-1]
-    nonempty = np.flatnonzero(np.diff(row_ptr) > 0)
+def segment_reduce(ufunc: np.ufunc, entries: np.ndarray, splits: np.ndarray) -> np.ndarray:
+    """Reduce the slices ``entries[splits[k]:splits[k + 1]]`` along axis 0 with
+    ``ufunc`` (np.add, np.minimum, np.maximum); empty slices reduce to zero."""
+    out = np.zeros((len(splits) - 1,) + entries.shape[1:])
+    nonempty = np.flatnonzero(np.diff(splits) > 0)
     if len(nonempty):
-        # reduceat would misbehave on empty slices; restrict to non-empty rows
-        out[nonempty] = np.add.reduceat(entries, starts[nonempty], axis=0)
+        # reduceat would misbehave on empty slices; restrict to non-empty ones
+        out[nonempty] = ufunc.reduceat(entries, splits[:-1][nonempty], axis=0)
     return out
 
 
@@ -162,6 +171,13 @@ def diag(A: SparseMatrixCSR) -> np.ndarray:
 
 def transpose(A: SparseMatrixCSR) -> SparseMatrixCSR:
     return from_coo(A.n, A.col_idx, A.row_of_entry(), A.values)
+
+
+def spectrum_bounds(A: SparseMatrixCSR) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the symmetric part of A (dense solve)."""
+    dense = A.to_dense()
+    w = np.linalg.eigvalsh((dense + dense.T) / 2)
+    return float(w[0]), float(w[-1])
 
 
 def read_matrix_market(path) -> SparseMatrixCSR:
@@ -231,9 +247,9 @@ def read_matrix_market(path) -> SparseMatrixCSR:
 
 def write_matrix_market(path, A: SparseMatrixCSR) -> None:
     """Write in coordinate/general format with 17 significant digits (exact round-trip)."""
-    rows = A.row_of_entry()
+    entries = zip((A.row_of_entry() + 1).tolist(), (A.col_idx + 1).tolist(),
+                  A.values.tolist())
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{A.n} {A.n} {A.nnz}\n")
-        for i, j, v in zip(rows, A.col_idx, A.values):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        fh.write("".join("%d %d %.17g\n" % e for e in entries))

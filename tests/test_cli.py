@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import random_spd
 from gnla.cli import main
 from gnla.sparse import identity, write_matrix_market
 
@@ -44,6 +45,12 @@ def test_kernel_spmv_identity_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[1.0, 2.0, 3.0]" in out
     assert "discrepancy: 0.000e+00" in out
+
+
+def test_kernel_chebyshev_matrix_file(tmp_path):
+    mtx = tmp_path / "a.mtx"
+    write_matrix_market(mtx, random_spd(np.random.default_rng(3), 12, 0.3))
+    assert main(["kernel", "chebyshev", "--matrix", str(mtx)]) == 0
 
 
 def test_kernel_bad_matrix_file_is_numerical_error(tmp_path):

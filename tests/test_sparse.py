@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import random_spd
 from gnla.sparse import (MatrixFormatError, SparseMatrixCSR, diag, from_coo,
-                         from_dense, identity, read_matrix_market, spmm_csr,
-                         spmv_csr, transpose, write_matrix_market)
+                         from_dense, identity, read_matrix_market, segment_reduce,
+                         spmm_csr, spmv_csr, transpose, write_matrix_market)
 
 
 def test_identity_spmv():
@@ -36,6 +36,41 @@ def test_csr_validation():
         SparseMatrixCSR(2, [0, 2, 2], [1, 0], [1.0, 1.0])  # decreasing columns
     with pytest.raises(MatrixFormatError):
         SparseMatrixCSR(2, [0, 1, 2], [0, 5], [1.0, 1.0])  # column out of range
+
+
+def test_csr_columns_may_decrease_across_rows():
+    # row 0 ends at column 2, row 1 is empty, row 2 starts again at column 0
+    A = SparseMatrixCSR(3, [0, 2, 2, 4], [1, 2, 0, 1], [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(A.to_dense(), [[0, 1, 2], [0, 0, 0], [3, 4, 0]])
+
+
+def test_csr_repeated_column_names_its_row():
+    with pytest.raises(MatrixFormatError, match=r"^row 2: columns not strictly increasing"):
+        SparseMatrixCSR(3, [0, 2, 2, 4], [1, 2, 1, 1], [1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_csr_rejects_non_finite_values(bad):
+    with pytest.raises(MatrixFormatError, match=r"^row 1: non-finite value"):
+        from_coo(3, [0, 2, 1], [0, 2, 1], [1.0, 2.0, bad])
+    dense = np.eye(3)
+    dense[1, 2] = bad
+    with pytest.raises(MatrixFormatError, match=r"^row 1: non-finite value"):
+        from_dense(dense)
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.minimum, np.maximum])
+def test_segment_reduce_empty_slices_give_zero(ufunc):
+    entries = np.array([[3.0, -1.0], [-2.0, 5.0], [4.0, 0.5], [1.0, -7.0]])
+    splits = np.array([0, 0, 2, 2, 3, 4, 4])
+    want = np.zeros((6, 2))
+    for k in range(6):
+        if splits[k + 1] > splits[k]:
+            want[k] = ufunc.reduce(entries[splits[k]:splits[k + 1]], axis=0)
+    assert np.array_equal(segment_reduce(ufunc, entries, splits), want)
+    assert np.array_equal(segment_reduce(ufunc, entries[:, 0], splits), want[:, 0])
+    assert np.array_equal(segment_reduce(ufunc, entries[:0], np.zeros(3, dtype=int)),
+                          np.zeros((2, 2)))
 
 
 def test_empty_rows_sum_to_zero():
@@ -86,6 +121,15 @@ def test_matrix_market_roundtrip(tmp_path):
     assert np.array_equal(B.row_ptr, A.row_ptr)
     assert np.array_equal(B.col_idx, A.col_idx)
     assert np.array_equal(B.values, A.values)   # 17 digits round-trip exactly
+
+
+def test_matrix_market_write_format(tmp_path):
+    A = from_coo(3, [2, 0, 0], [1, 0, 2], [-0.0, 0.1, 1e-300])
+    path = tmp_path / "a.mtx"
+    write_matrix_market(path, A)
+    assert path.read_text() == ("%%MatrixMarket matrix coordinate real general\n"
+                                "3 3 3\n1 1 0.10000000000000001\n1 3 1e-300\n"
+                                "3 2 -0\n")
 
 
 def test_matrix_market_symmetric(tmp_path):

@@ -10,7 +10,7 @@ from gnla import train as tr
 from gnla.fem import (DiffusionDataConfig, JacobiDataConfig,
                       assemble_diffusion_periodic, diffusion_graph, dst_basis,
                       gen_diffusion_dataset, gen_jacobi_dataset,
-                      sine_mode_basis)
+                      jacobi_instance, sine_mode_basis)
 from gnla.sparse import diag, from_dense, identity
 
 
@@ -76,6 +76,13 @@ def test_jacobi_loss_exact_single_probe():
 def test_omega_co_uniform_tridiagonal_is_one():
     # D^{-1}A spectrum is 1 - cos(k pi/(n+1)): symmetric around 1 -> omega = 1
     assert tr.omega_co(tridiag(25)) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_omega_co_matches_dense_spectrum_of_band_matrix():
+    A = jacobi_instance(JacobiDataConfig(), 0).A
+    lam = np.linalg.eigvals(A.to_dense() / diag(A)[:, None]).real
+    # power iteration stops at a 1e-10 change per step: 2e-9 off here
+    assert tr.omega_co(A) == pytest.approx(2.0 / (lam.min() + lam.max()), rel=1e-7)
 
 
 def test_projected_iteration_matrix_identity_case():
