@@ -22,30 +22,35 @@ class Node:
 
 
 class Tape:
-    """Append-only record of operations; single-threaded by design."""
+    """Append-only record of operations; single-threaded by design.
 
-    def __init__(self):
+    A tape made with ``record=False`` keeps no nodes: each value lives only as
+    long as its Var, so a pass that needs no gradients frees its intermediates
+    as it goes. ``backward`` refuses such a tape.
+    """
+
+    def __init__(self, record: bool = True):
+        self.record = record
         self.nodes: list[Node] = []
 
     def _record(self, value, parents=(), vjps=()) -> "Var":
         value = np.asarray(value, dtype=np.float64)
+        if not self.record:
+            return Var(self, -1, value)
         self.nodes.append(Node(value, tuple(parents), tuple(vjps)))
-        return Var(self, len(self.nodes) - 1)
+        return Var(self, len(self.nodes) - 1, value)
 
     def leaf(self, value) -> "Var":
         return self._record(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var:
-    """Handle to a tape node."""
+    """Handle to a tape node and its value."""
 
     tape: Tape
     idx: int
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape.nodes[self.idx].value
+    value: np.ndarray
 
     @property
     def shape(self):
@@ -72,22 +77,26 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 # -- arithmetic --------------------------------------------------------------
 
+# A VJP closes over arrays and shapes, never over a Var: a Var refers to its
+# tape, and that cycle would keep a finished tape alive until the cyclic
+# garbage collector runs.
+
 def add(a: Var, b) -> Var:
     tape = a.tape
     b = _as_var(tape, b)
-    out = a.value + b.value
-    return tape._record(out, (a.idx, b.idx),
-                        (lambda g: _unbroadcast(g, a.value.shape),
-                         lambda g: _unbroadcast(g, b.value.shape)))
+    a_shape, b_shape = a.value.shape, b.value.shape
+    return tape._record(a.value + b.value, (a.idx, b.idx),
+                        (lambda g: _unbroadcast(g, a_shape),
+                         lambda g: _unbroadcast(g, b_shape)))
 
 
 def sub(a: Var, b) -> Var:
     tape = a.tape
     b = _as_var(tape, b)
-    out = a.value - b.value
-    return tape._record(out, (a.idx, b.idx),
-                        (lambda g: _unbroadcast(g, a.value.shape),
-                         lambda g: _unbroadcast(-g, b.value.shape)))
+    a_shape, b_shape = a.value.shape, b.value.shape
+    return tape._record(a.value - b.value, (a.idx, b.idx),
+                        (lambda g: _unbroadcast(g, a_shape),
+                         lambda g: _unbroadcast(-g, b_shape)))
 
 
 def scalar_mul(c: float, a: Var) -> Var:
@@ -220,17 +229,39 @@ def concat(parts: list[Var], axis: int = 0) -> Var:
                         tuple(make_vjp(k) for k in range(len(parts))))
 
 
+def split(x: Var, sizes) -> list[Var]:
+    """Consecutive blocks of ``sizes`` rows; the inverse of concat on axis 0."""
+    v = x.value
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    if offsets[-1] != len(v):
+        raise ValueError(f"block sizes {list(sizes)} do not cover {len(v)} rows")
+
+    def block(lo, hi):
+        def vjp(g):
+            grad = np.zeros_like(v)
+            grad[lo:hi] = g
+            return grad
+
+        return x.tape._record(v[lo:hi], (x.idx,), (vjp,))
+
+    return [block(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
 def gather(x: Var, indices) -> Var:
     """Select rows by an index list; backward scatter-adds."""
     indices = np.asarray(indices, dtype=np.int64)
     v = x.value
+    out = v[indices]
+    rows = indices % max(len(v), 1)   # a negative index counts from the end
 
     def vjp(g):
-        grad = np.zeros_like(v)
-        np.add.at(grad, indices, g)
-        return grad
+        # one weighted bincount over (row, column) slots adds each slot's
+        # pieces in index order, the order (and so the bits) of np.add.at
+        width = int(np.prod(v.shape[1:]))
+        slots = (rows[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(slots, weights=g.ravel(), minlength=v.size).reshape(v.shape)
 
-    return x.tape._record(v[indices], (x.idx,), (vjp,))
+    return x.tape._record(out, (x.idx,), (vjp,))
 
 
 def reshape(x: Var, shape) -> Var:
@@ -250,7 +281,7 @@ def _check_splits(x, splits):
 
 def segment_sum(x: Var, splits) -> Var:
     splits = _check_splits(x, splits)
-    out = segment_reduce(np.add, np.atleast_2d(x.value), splits)
+    out = segment_reduce(np.add, x.value, splits)
     seg_of_row = np.repeat(np.arange(len(out)), np.diff(splits))
 
     def vjp(g):
@@ -263,29 +294,29 @@ def segment_mean(x: Var, splits) -> Var:
     splits = _check_splits(x, splits)
     counts = np.maximum(np.diff(splits), 1).astype(np.float64)
     total = segment_sum(x, splits)
-    return mul(total, 1.0 / counts[:, None])
+    return mul(total, (1.0 / counts).reshape((-1,) + (1,) * (x.value.ndim - 1)))
 
 
 def _segment_extreme(x: Var, splits, ufunc) -> Var:
     splits = _check_splits(x, splits)
-    v = np.atleast_2d(x.value)
-    n = len(splits) - 1
+    v = x.value
     out = segment_reduce(ufunc, v, splits)
-    seg_of_row = np.repeat(np.arange(n), np.diff(splits))
-    # first row in each segment attaining the extreme, per column
-    winners = np.full((n, v.shape[1]), -1, dtype=np.int64)
-    hit = v == out[seg_of_row]
-    for col in range(v.shape[1]):
-        rows = np.flatnonzero(hit[:, col])
-        segs, first = np.unique(seg_of_row[rows], return_index=True)
-        winners[segs, col] = rows[first]
 
     def vjp(g):
-        grad = np.zeros_like(v)
-        cols = np.broadcast_to(np.arange(v.shape[1]), winners.shape)
-        valid = winners >= 0
-        np.add.at(grad, (winners[valid], cols[valid]), g[valid])
-        return grad.reshape(x.value.shape)
+        # the first row of each segment attaining the extreme, per column, is
+        # the least row number among its attaining rows; rows that miss count
+        # as len(v), so a segment holding a nan has no winner
+        width = int(np.prod(v.shape[1:]))
+        v2, out2 = v.reshape(len(v), width), out.reshape(len(out), width)
+        seg_of_row = np.repeat(np.arange(len(out)), np.diff(splits))
+        hit = v2 == out2[seg_of_row]
+        first = segment_reduce(np.minimum, np.where(hit, np.arange(len(v))[:, None], len(v)),
+                               splits)
+        # an empty segment reduces to 0, not to a winner
+        segs, cols = np.nonzero((first < len(v)) & (np.diff(splits) > 0)[:, None])
+        grad = np.zeros_like(v2)
+        grad[first[segs, cols].astype(np.int64), cols] = g.reshape(out2.shape)[segs, cols]
+        return grad.reshape(v.shape)
 
     return x.tape._record(out, (x.idx,), (vjp,))
 
@@ -302,19 +333,21 @@ def segment_max(x: Var, splits) -> Var:
 # -- backward pass -----------------------------------------------------------
 
 def backward(tape: Tape, output: Var) -> dict[int, np.ndarray]:
-    """Exact reverse-mode gradients of a scalar output for every tape node.
+    """Exact reverse-mode gradients of a scalar output for the tape's leaves.
 
-    Returns a map from node index to gradient array (leaves included).
+    Returns a map from leaf node index to gradient array. An interior node's
+    gradient is dropped once it has reached the node's parents.
     """
+    if not tape.record:
+        raise ValueError("backward needs a tape that records its operations")
     if output.value.size != 1:
         raise ValueError("backward requires a scalar output")
-    grads: dict[int, np.ndarray] = {
-        output.idx: np.ones_like(tape.nodes[output.idx].value)}
+    grads: dict[int, np.ndarray] = {output.idx: np.ones_like(output.value)}
     for idx in range(output.idx, -1, -1):
-        g = grads.get(idx)
+        node = tape.nodes[idx]
+        g = grads.pop(idx, None) if node.parents else grads.get(idx)
         if g is None:
             continue
-        node = tape.nodes[idx]
         for parent, vjp in zip(node.parents, node.vjps):
             piece = vjp(g)
             if parent in grads:

@@ -14,8 +14,8 @@ from . import amg, kernels, nn, train as tr
 from .fem import (DiffusionDataConfig, JacobiDataConfig, diffusion_instance,
                   gen_diffusion_dataset, gen_jacobi_dataset, jacobi_instance,
                   read_instance, write_instance)
-from .sparse import (SparseMatrixCSR, dense_vector, diag, from_coo, read_matrix_market,
-                     spectrum_bounds)
+from .sparse import (SparseMatrixCSR, atomic_write, dense_vector, diag, from_coo,
+                     read_matrix_market, spectrum_bounds)
 
 CONFIG_VERSION = 1
 
@@ -90,7 +90,7 @@ def _write_dataset(out_dir: str, kind: str, dcfg, force: bool) -> dict:
             write_instance(os.path.join(out_dir, name), inst)
             names.append(name)
         manifest["splits"][split] = names
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
     # a --force run over a larger dataset must not leave its instances behind
     listed = {name for names in manifest["splits"].values() for name in names}
@@ -101,16 +101,21 @@ def _write_dataset(out_dir: str, kind: str, dcfg, force: bool) -> dict:
     return manifest
 
 
-def load_dataset(data_dir: str) -> tuple[str, dict]:
+def load_dataset(data_dir: str, splits: tuple[str, ...]) -> tuple[str, dict]:
+    """The dataset's kind and the instances of the named splits only."""
     path = os.path.join(data_dir, "manifest.json")
     try:
         with open(path) as fh:
             manifest = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read dataset manifest: {exc}") from None
-    splits = {split: [read_instance(os.path.join(data_dir, name)) for name in names]
-              for split, names in manifest["splits"].items()}
-    return manifest["kind"], splits
+    missing = [split for split in splits if split not in manifest["splits"]]
+    if missing:
+        raise UsageError(f"dataset at {data_dir} has no {missing} split")
+    return manifest["kind"], {
+        split: [read_instance(os.path.join(data_dir, name))
+                for name in manifest["splits"][split]]
+        for split in splits}
 
 
 # -- kernel subcommand --------------------------------------------------------
@@ -201,7 +206,7 @@ def cmd_train(args) -> int:
     if args.experiment != kind_cfg:
         raise UsageError(f"config dataset.kind is '{kind_cfg}', not '{args.experiment}'")
     if args.data:
-        kind, datasets = load_dataset(args.data)
+        kind, datasets = load_dataset(args.data, ("train", "val"))
         if kind != args.experiment:
             raise UsageError(f"dataset at {args.data} is '{kind}'")
     else:
@@ -230,7 +235,7 @@ def cmd_eval(args) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     if args.experiment == "jacobi":
-        kind, datasets = load_dataset(args.data)
+        kind, datasets = load_dataset(args.data, ("test",))
         if kind != "jacobi":
             raise UsageError(f"dataset at {args.data} is '{kind}'")
         test = datasets["test"]
@@ -255,7 +260,7 @@ def cmd_eval(args) -> int:
             raise UsageError("checkpoint architecture does not match the diffusion model")
         ecfg = {}
         if args.data:
-            kind, datasets = load_dataset(args.data)
+            kind, datasets = load_dataset(args.data, ("test",))
             if kind != "diffusion":
                 raise UsageError(f"dataset at {args.data} is '{kind}'")
             from .fem import diffusion_graph
@@ -302,7 +307,7 @@ def _loss_svg(path, result: tr.TrainResult) -> None:
     epochs = [r[0] for r in result.history]
     body = (_polyline(epochs, [r[1] for r in result.history], "steelblue")
             + _polyline(epochs, [r[2] for r in result.history], "firebrick"))
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(_svg_doc(body))
 
 
@@ -318,7 +323,7 @@ def _hist_svg(path, report: tr.EvalReport) -> None:
         bh = c / top * (h - 2 * pad)
         bars.append(f'<rect x="{x0:.1f}" y="{h - pad - bh:.1f}" width="{bw:.1f}" '
                     f'height="{bh:.1f}" fill="steelblue"/>')
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(_svg_doc("".join(bars)))
 
 

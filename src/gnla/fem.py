@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph_net import AttributedGraph, matrix_to_graph
-from .sparse import (SparseMatrixCSR, from_coo, read_matrix_market,
+from .sparse import (SparseMatrixCSR, atomic_write, from_coo, read_matrix_market,
                      write_matrix_market)
 
 FLOAT_FMT = "%.17g"
@@ -323,13 +323,15 @@ def write_instance(dirname: str, inst: ProblemInstance) -> None:
     write_matrix_market(os.path.join(dirname, "matrix.mtx"), inst.A)
     meta = dict(inst.meta)
     meta["h"] = inst.h
-    with open(os.path.join(dirname, "meta.json"), "w") as fh:
+    with atomic_write(os.path.join(dirname, "meta.json")) as fh:
         json.dump(meta, fh, sort_keys=True, indent=1)
-    np.savetxt(os.path.join(dirname, "coords.csv"), inst.coords,
-               fmt=FLOAT_FMT, delimiter=",", header="x,y", comments="")
+    with atomic_write(os.path.join(dirname, "coords.csv")) as fh:
+        np.savetxt(fh, inst.coords, fmt=FLOAT_FMT, delimiter=",", header="x,y",
+                   comments="")
     if inst.targets is not None:
-        np.savetxt(os.path.join(dirname, "targets.csv"), inst.targets,
-                   fmt=FLOAT_FMT, delimiter=",", header="alpha,beta", comments="")
+        with atomic_write(os.path.join(dirname, "targets.csv")) as fh:
+            np.savetxt(fh, inst.targets, fmt=FLOAT_FMT, delimiter=",",
+                       header="alpha,beta", comments="")
 
 
 def read_instance(dirname: str) -> ProblemInstance:

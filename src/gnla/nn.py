@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var
 from .graph_net import AttributedGraph
-from .sparse import SparseMatrixCSR, diag, segment_reduce
+from .sparse import SparseMatrixCSR, atomic_write, diag, segment_reduce
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -163,18 +163,25 @@ def mlp_forward(spec: MLPSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _activate_taped(x: Var, activation: str) -> Var:
+    if activation == "relu":
+        return ad.relu(x)
+    if activation == "leaky_relu":
+        return ad.leaky_relu(x, LEAKY_SLOPE)
+    return x
+
+
 def mlp_forward_taped(tape: Tape, spec: MLPSpec, params: TapedParams, group: str,
-                      x: Var) -> Var:
-    if x.value.shape[1] != spec.in_width:
-        raise ValueError(f"input width {x.value.shape[1]} != expected {spec.in_width}")
-    for k, layer in enumerate(spec.layers):
+                      x: Var, first: int = 0) -> Var:
+    """Layers ``first`` onwards of the MLP on a taped batch."""
+    layers = spec.layers[first:]
+    if layers and x.value.shape[1] != layers[0].in_width:
+        raise ValueError(f"input width {x.value.shape[1]} != expected {layers[0].in_width}")
+    for k, layer in enumerate(layers, start=first):
         x = ad.matmul(x, params.var(group, k, "W"))
         if layer.bias:
             x = ad.add(x, params.var(group, k, "b"))
-        if layer.activation == "relu":
-            x = ad.relu(x)
-        elif layer.activation == "leaky_relu":
-            x = ad.leaky_relu(x, LEAKY_SLOPE)
+        x = _activate_taped(x, layer.activation)
     return x
 
 
@@ -282,7 +289,7 @@ def diffusion_model_forward(graph: AttributedGraph, store: ParamStore,
     """
     own_tape = tape is None
     if own_tape:
-        tape = Tape()
+        tape = Tape(record=False)
     params = TapedParams(store, tape)
     model = store.model
     if graph.edge_attrs.shape[1] != 3 or graph.vertex_attrs.shape[1] != 1:
@@ -295,22 +302,39 @@ def diffusion_model_forward(graph: AttributedGraph, store: ParamStore,
     g = mlp_forward_taped(tape, model.group("enc_g"), params, "enc_g",
                           tape.leaf(graph.global_attrs.reshape(1, 1)))
 
-    n_e, n_v = graph.num_edges, graph.num_vertices
-    g_edges = ad.gather(g, np.zeros(n_e, dtype=np.int64))
-    phi_e_in = ad.concat([e, ad.gather(v, graph.src), ad.gather(v, graph.dst), g_edges],
-                         axis=1)
-    e_new = mlp_forward_taped(tape, model.group("phi_e"), params, "phi_e", phi_e_in)
-
+    e_new = _edge_update(model.group("phi_e"), params, graph, e, v, g)
     splits = graph.incoming_splits()
     ebar = ad.concat([ad.segment_min(e_new, splits), ad.segment_mean(e_new, splits),
                       ad.segment_sum(e_new, splits), ad.segment_max(e_new, splits)],
                      axis=1)
-    g_verts = ad.gather(g, np.zeros(n_v, dtype=np.int64))
+    g_verts = ad.gather(g, np.zeros(graph.num_vertices, dtype=np.int64))
     phi_v_in = ad.concat([v, ebar, g_verts], axis=1)
     out = mlp_forward_taped(tape, model.group("phi_v"), params, "phi_v", phi_v_in)
     if own_tape:
         return out.value
     return out, params
+
+
+def _edge_update(spec: MLPSpec, params: TapedParams, graph: AttributedGraph,
+                 e: Var, v: Var, g: Var) -> Var:
+    """phi_e on the rows [e_k, v_src(k), v_dst(k), g], one per edge k.
+
+    The first layer is linear in that concatenation, so it is applied block by
+    block, e W0 + (v W1)[src] + (v W2)[dst] + g W3 + b: the vertex products run
+    on the vertex rows, and the global row is broadcast, not gathered.
+    """
+    layer = spec.layers[0]
+    widths = [x.value.shape[1] for x in (e, v, v, g)]
+    if sum(widths) != layer.in_width:
+        raise ValueError(f"input width {sum(widths)} != expected {layer.in_width}")
+    W0, W1, W2, W3 = ad.split(params.var("phi_e", 0, "W"), widths)
+    x = ad.add(ad.add(ad.matmul(e, W0), ad.gather(ad.matmul(v, W1), graph.src)),
+               ad.gather(ad.matmul(v, W2), graph.dst))
+    glob = ad.matmul(g, W3)
+    if layer.bias:
+        glob = ad.add(glob, params.var("phi_e", 0, "b"))
+    x = _activate_taped(ad.add(x, glob), layer.activation)
+    return mlp_forward_taped(x.tape, spec, params, "phi_e", x, first=1)
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -344,7 +368,7 @@ def save_checkpoint(path, store: ParamStore, metadata: dict | None = None) -> No
         "parameters": [float(f"{v:.17g}") for v in store.values],
         "metadata": metadata or {},
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +182,9 @@ def spectrum_bounds(A: SparseMatrixCSR) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
 def read_matrix_market(path) -> SparseMatrixCSR:
     """Read a square matrix in Matrix Market coordinate format.
 
@@ -187,9 +192,10 @@ def read_matrix_market(path) -> SparseMatrixCSR:
     and every value finite.
     """
     with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise MatrixFormatError(f"{path}:1: empty file")
+    lines = text.split("\n")
     header = lines[0].split()
     if (
         len(header) < 4
@@ -206,24 +212,49 @@ def read_matrix_market(path) -> SparseMatrixCSR:
     if symmetry not in ("general", "symmetric"):
         raise MatrixFormatError(f"{path}:1: unsupported symmetry '{symmetry}'")
 
-    body = [
-        (no, ln) for no, ln in enumerate(lines[1:], start=2)
-        if ln.strip() and not ln.lstrip().startswith("%")
-    ]
-    if not body:
+    size_idx = next((k for k in range(1, len(lines)) if _is_data(lines[k])), None)
+    if size_idx is None:
         raise MatrixFormatError(f"{path}: missing size line")
-    size_no, size_line = body[0]
-    parts = size_line.split()
-    if len(parts) != 3:
-        raise MatrixFormatError(f"{path}:{size_no}: malformed size line")
-    nrows, ncols, nnz = (int(p) for p in parts)
+    size_no = size_idx + 1
+    try:
+        nrows, ncols, nnz = (int(p) for p in lines[size_idx].split())
+    except ValueError:   # not three integers
+        raise MatrixFormatError(f"{path}:{size_no}: malformed size line") from None
     if nrows != ncols:
         raise MatrixFormatError(f"{path}:{size_no}: matrix is not square ({nrows}x{ncols})")
-    if len(body) - 1 != nnz:
-        raise MatrixFormatError(f"{path}:{size_no}: expected {nnz} entries, found {len(body) - 1}")
 
-    rows, cols, vals = [], [], []
-    for no, ln in body[1:]:
+    # one vectorised parse of the entry lines; the line-by-line reader runs
+    # only when it fails or finds a bad entry, to name the offending line
+    body = lines[size_idx + 1:]
+    try:
+        data = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1) if nnz else None
+    except ValueError:
+        data = None
+    if (data is None or len(data) != nnz or not np.all(np.isfinite(data["v"]))
+            or not np.all((data["i"] >= 1) & (data["i"] <= nrows)
+                          & (data["j"] >= 1) & (data["j"] <= ncols))):
+        data = _read_entries(path, body, size_no, nrows, nnz)
+    i, j, v = data["i"] - 1, data["j"] - 1, data["v"]
+    if symmetry == "symmetric":
+        off = i != j
+        i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
+                   np.concatenate((v, v[off])))
+    return from_coo(nrows, i, j, v)
+
+
+def _is_data(line: str) -> bool:
+    """Neither blank nor a % comment."""
+    return bool(line.strip()) and not line.lstrip().startswith("%")
+
+
+def _read_entries(path, body: list[str], size_no: int, n: int, nnz: int) -> np.ndarray:
+    """Entry lines parsed one at a time; raises on the first bad line."""
+    entries = [(no, ln) for no, ln in enumerate(body, start=size_no + 1) if _is_data(ln)]
+    if len(entries) != nnz:
+        raise MatrixFormatError(f"{path}:{size_no}: expected {nnz} entries, "
+                                f"found {len(entries)}")
+    data = np.zeros(nnz, dtype=_ENTRY)
+    for k, (no, ln) in enumerate(entries):
         parts = ln.split()
         if len(parts) != 3:
             raise MatrixFormatError(f"{path}:{no}: expected 'row col value'")
@@ -233,23 +264,35 @@ def read_matrix_market(path) -> SparseMatrixCSR:
             raise MatrixFormatError(f"{path}:{no}: {exc}") from None
         if not math.isfinite(v):
             raise MatrixFormatError(f"{path}:{no}: non-finite value '{parts[2]}'")
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
+        if not (1 <= i <= n and 1 <= j <= n):
             raise MatrixFormatError(f"{path}:{no}: index ({i}, {j}) out of range")
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(v)
-        if symmetry == "symmetric" and i != j:
-            rows.append(j - 1)
-            cols.append(i - 1)
-            vals.append(v)
-    return from_coo(nrows, rows, cols, vals)
+        data[k] = (i, j, v)
+    return data
+
+
+@contextmanager
+def atomic_write(path):
+    """Text file handle whose contents replace ``path`` only once the block
+    completes: they go to a temporary file in the same directory, which an
+    error removes, leaving any earlier file at ``path`` as it was."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_matrix_market(path, A: SparseMatrixCSR) -> None:
     """Write in coordinate/general format with 17 significant digits (exact round-trip)."""
     entries = zip((A.row_of_entry() + 1).tolist(), (A.col_idx + 1).tolist(),
                   A.values.tolist())
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{A.n} {A.n} {A.nnz}\n")
         fh.write("".join("%d %d %.17g\n" % e for e in entries))

@@ -11,7 +11,7 @@ from . import autodiff as ad
 from . import nn
 from .fem import (FLOAT_FMT, ProblemInstance, assemble_diffusion_periodic,
                   diffusion_graph, sine_mode_basis)
-from .sparse import SparseMatrixCSR, diag, spmm_csr, spmv_csr
+from .sparse import SparseMatrixCSR, atomic_write, diag, spmm_csr, spmv_csr
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,7 @@ def stencil_probe(store: nn.ParamStore, N: int = 32,
 # -- CSV emission -------------------------------------------------------------
 
 def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(

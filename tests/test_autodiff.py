@@ -126,11 +126,119 @@ def test_segment_extremes_gradient_and_values():
     assert np.array_equal(g[:, 0], [0.0, 1.0, 0.0, 1.0])  # tie -> lowest row
 
 
+# -- property tests against dense np.add.at oracles ---------------------------
+
+def _vjp(op, values, upstream):
+    """op's value on ``values`` and the gradient it sends back for ``upstream``."""
+    t = Tape()
+    x = t.leaf(values)
+    y = op(x)
+    return y.value, backward(t, ad.vsum(ad.mul(y, t.leaf(upstream))))[x.idx]
+
+
+@st.composite
+def gathers(draw):
+    """Source rows (possibly none) and indices, negative ones too, that repeat
+    and skip rows."""
+    n = draw(st.integers(0, 6))
+    indices = draw(st.lists(st.integers(-n, n - 1), max_size=15)) if n else []
+    width = draw(st.sampled_from([None, 1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n,) if width is None else (n, width)
+    return rng.standard_normal(shape), np.array(indices, dtype=np.int64), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(gathers())
+def test_gather_matches_add_at_oracle(case):
+    values, indices, rng = case
+    upstream = rng.standard_normal((len(indices),) + values.shape[1:])
+    got, grad = _vjp(lambda x: ad.gather(x, indices), values, upstream)
+    want = np.zeros_like(values)
+    np.add.at(want, indices, upstream)
+    assert np.array_equal(got, values[indices])
+    assert np.array_equal(grad, want)   # same summation order, same bits
+
+
+@st.composite
+def segmented(draw):
+    """Rows drawn from a few values (so ties are common), cut into segments
+    that may be empty; zero rows allowed; 1-D or 2-D."""
+    n = draw(st.integers(0, 12))
+    width = draw(st.sampled_from([None, 1, 3]))
+    shape = (n,) if width is None else (n, width)
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0]),
+                           min_size=size, max_size=size))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(values, dtype=np.float64).reshape(shape), np.array([0] + cuts + [n]), rng
+
+
+@pytest.mark.parametrize("op, pick", [(ad.segment_min, np.argmin),
+                                      (ad.segment_max, np.argmax)])
+@settings(max_examples=200, deadline=None)
+@given(case=segmented())
+def test_segment_extremes_match_add_at_oracle(op, pick, case):
+    values, splits, rng = case
+    width = 1 if values.ndim == 1 else values.shape[1]
+    v2, n_seg = values.reshape(len(values), width), len(splits) - 1
+    upstream = rng.standard_normal((n_seg,) + values.shape[1:])
+    got, grad = _vjp(lambda x: op(x, splits), values, upstream)
+    # oracle: the first attaining row of each non-empty (segment, column)
+    want = np.zeros((n_seg, width))
+    rows, cols, segs = [], [], []
+    for s in range(n_seg):
+        lo, hi = splits[s], splits[s + 1]
+        if hi > lo:
+            first = lo + pick(v2[lo:hi], axis=0)
+            want[s] = v2[first, np.arange(width)]
+            rows += first.tolist()
+            cols += range(width)
+            segs += [s] * width
+    want_grad = np.zeros_like(v2)
+    np.add.at(want_grad, (rows, cols), upstream.reshape(n_seg, width)[segs, cols])
+    assert np.array_equal(got, want.reshape(upstream.shape))
+    assert np.array_equal(grad, want_grad.reshape(values.shape))
+
+
+def test_segment_sum_and_mean_of_a_vector():
+    t = Tape()
+    p = t.leaf(np.array([1.0, 2.0, 3.0, 6.0]))
+    splits = np.array([0, 1, 1, 4])
+    assert np.array_equal(ad.segment_sum(p, splits).value, [1.0, 0.0, 11.0])
+    mean = ad.segment_mean(p, splits)
+    assert mean.value.shape == (3,)
+    g = backward(t, ad.vsum(mean))[p.idx]
+    assert np.allclose(g, [1.0, 1 / 3, 1 / 3, 1 / 3])
+
+
+def test_split_is_the_inverse_of_concat():
+    t = Tape()
+    p = t.leaf(np.arange(12.0).reshape(6, 2))
+    a, b = ad.split(p, [2, 4])
+    assert np.array_equal(ad.concat([a, b]).value, p.value)
+    g = backward(t, ad.vsum(ad.mul(b, b)))[p.idx]
+    assert np.array_equal(g, np.concatenate([np.zeros((2, 2)), 2 * p.value[2:]]))
+    with pytest.raises(ValueError):
+        ad.split(p, [2, 3])
+
+
 def test_segment_splits_validated():
     t = Tape()
     p = t.leaf(np.ones((4, 1)))
     with pytest.raises(ValueError):
         ad.segment_sum(p, np.array([0, 2]))
+
+
+def test_tape_without_recording_keeps_no_nodes():
+    t = Tape(record=False)
+    x = t.leaf(np.array([1.0, -2.0]))
+    y = ad.vsum(ad.mul(ad.relu(x), x))
+    assert float(y.value) == 1.0
+    assert t.nodes == []
+    with pytest.raises(ValueError, match="records"):
+        backward(t, y)
 
 
 def test_backward_requires_scalar():

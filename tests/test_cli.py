@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -218,6 +219,50 @@ def test_train_eval_diffusion_tiny(tmp_path, capsys):
     assert sweep[0] == "theta_x,theta_y,mse,in_training_region"
     assert len(sweep) == 10
     assert "constant-coefficient probe" in capsys.readouterr().out
+
+
+def _drop_splits(data, splits):
+    """Delete the instance folders of ``splits``, keeping the manifest."""
+    manifest = json.loads((data / "manifest.json").read_text())
+    for split in splits:
+        for name in manifest["splits"][split]:
+            shutil.rmtree(data / name)
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "diffusion"])
+def test_commands_read_only_the_splits_they_use(tmp_path, kind):
+    if kind == "jacobi":
+        cfg = run_config(tmp_path)
+        eval_args = ["--omega", "0.6667", "--k", "3"]
+    else:
+        cfg = run_config(tmp_path,
+                         dataset={"kind": "diffusion", "N_min": 6, "N_max": 6,
+                                  "theta_max": 2, "counts": [2, 1, 1]},
+                         train={"epochs_max": 1, "batch_size": 2, "lr": 1e-3})
+        eval_args = ["--theta-grid-max", "1", "--sweep-n", "6"]
+    train_data, eval_data, out = tmp_path / "td", tmp_path / "ed", tmp_path / "run"
+    for data in (train_data, eval_data):
+        assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    _drop_splits(train_data, ["test"])
+    assert main(["train", kind, "--config", cfg, "--data", str(train_data),
+                 "--out", str(out)]) == 0
+    _drop_splits(eval_data, ["train", "val"])
+    if kind == "diffusion":
+        eval_args += ["--checkpoint", str(out / "checkpoint.json")]
+    assert main(["eval", kind, "--data", str(eval_data), "--out", str(out)]
+                + eval_args) == 0
+
+
+def test_manifest_without_the_split_is_usage_error(tmp_path, capsys):
+    cfg = run_config(tmp_path)
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest["splits"]["test"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["eval", "jacobi", "--data", str(data), "--out", str(tmp_path / "o"),
+                 "--omega", "0.6667"]) == 2
+    assert "has no ['test'] split" in capsys.readouterr().err
 
 
 def test_train_twice_identical_outputs(tmp_path):

@@ -1,5 +1,7 @@
 """Meshes, FEM assembly, stencil values, sine bases, dataset generation, disk I/O."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,3 +234,20 @@ def test_write_instance_deterministic_bytes(tmp_path):
     for fname in ("matrix.mtx", "meta.json", "coords.csv"):
         assert ((tmp_path / "a" / fname).read_bytes()
                 == (tmp_path / "b" / fname).read_bytes())
+
+
+def test_write_instance_failure_keeps_old_files(tmp_path, monkeypatch):
+    inst = assemble_diffusion_periodic(6, 1, 2, 0, 1)
+    inst.meta["index"] = 0
+    folder = tmp_path / "i0"
+    write_instance(str(folder), inst)
+    old = {name: (folder / name).read_bytes() for name in os.listdir(folder)}
+
+    def savetxt_then_fail(fh, X, **kwargs):
+        fh.write("x,y\n0.5,")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savetxt", savetxt_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_instance(str(folder), inst)
+    assert {name: (folder / name).read_bytes() for name in os.listdir(folder)} == old

@@ -1,9 +1,14 @@
 """MLP specs, parameter stores, Adam, the two model architectures, checkpoints."""
 
+import gc
+import os
+import weakref
+
 import numpy as np
 import pytest
 
 from gnla import autodiff as ad
+from gnla import nn
 from gnla.fem import assemble_diffusion_periodic, diffusion_graph
 from gnla.nn import (LayerSpec, MLPSpec, ModelSpec, ParamStore, adam_init,
                      adam_step, diffusion_model_forward, diffusion_model_spec,
@@ -119,6 +124,23 @@ def test_diffusion_model_taped_matches_plain():
     assert plain.shape == (36, 2)
 
 
+def test_taped_models_free_their_tape_without_the_cycle_collector():
+    inst = assemble_diffusion_periodic(6, 1, 2, 0, 1)
+    diffusion = init_glorot(diffusion_model_spec(), np.random.default_rng(0))
+    jacobi = init_glorot(jacobi_model_spec(), np.random.default_rng(0))
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        pred, params_d = diffusion_model_forward(diffusion_graph(inst), diffusion, tape)
+        d, params_j = jacobi_model_forward(tridiag(5), jacobi, tape)
+        ad.backward(tape, ad.add(ad.vsum(ad.mul(pred, pred)), ad.vsum(ad.sub(d, 1.0))))
+        alive = weakref.ref(tape)
+        del tape, pred, params_d, d, params_j
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def test_diffusion_model_rejects_wrong_attrs():
     store = init_glorot(diffusion_model_spec(), np.random.default_rng(0))
     from gnla.graph_net import matrix_to_graph
@@ -145,3 +167,20 @@ def test_checkpoint_version_check(tmp_path):
     path.write_text(doc)
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_write_failure_keeps_old_file(tmp_path, monkeypatch):
+    store = init_glorot(jacobi_model_spec(), np.random.default_rng(0))
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, store, {"run": 1})
+    old = path.read_bytes()
+
+    def dump_then_fail(doc, fh):
+        fh.write('{"format_version": 1, "param')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(nn.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, store, {"run": 2})
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["checkpoint.json"]

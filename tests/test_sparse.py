@@ -1,8 +1,10 @@
 """CSR construction, products, and Matrix Market round-trips."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
@@ -140,16 +142,63 @@ def test_matrix_market_symmetric(tmp_path):
     assert np.array_equal(A.to_dense(), [[2.0, -1.0], [-1.0, 0.0]])
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "%%MatrixMarket matrix array real general\n2 2 4\n",
-    "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n",
-    "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
-    "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
-    "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n",
-])
+HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+# malformed file -> the line its error message names
+MALFORMED = {
+    "": 1,
+    "%%MatrixMarket matrix array real general\n2 2 4\n": 1,
+    HEADER + "2 3 1\n1 1 1.0\n": 2,                     # not square
+    HEADER + "2 2 2\n1 1 1.0\n": 2,                     # entry count
+    HEADER + "2 2 1\n3 1 1.0\n": 3,                     # index out of range
+    HEADER + "2 2 1\n1 x 1.0\n": 3,                     # non-numeric index
+    HEADER + "2 x 1\n1 1 1.0\n": 2,                     # size line
+    HEADER + "2 2 2\n1 1 1.0\n2 2\n": 4,                # two fields
+    HEADER + "2 2 2\n1 1 1.0\n1 2 1.0 3\n": 4,          # four fields
+    HEADER + "2 2 1\n1 1 abc\n": 3,                     # non-numeric value
+    HEADER + "% note\n2 2 2\n1 1 1.0\n\n% note\n2 2 nan\n": 7,
+    "%%MatrixMarket matrix coordinate real symmetric\n"
+    "2 2 2\n1 1 1.0\n3 1 1.0\n": 4,                    # symmetric, out of range
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_matrix_market_malformed(tmp_path, text):
     path = tmp_path / "bad.mtx"
     path.write_text(text)
-    with pytest.raises(MatrixFormatError):
+    prefix = f"{path}:{MALFORMED[text]}: "
+    with pytest.raises(MatrixFormatError, match="^" + re.escape(prefix)):
         read_matrix_market(path)
+
+
+def test_matrix_market_comments_and_blank_lines_between_entries(tmp_path):
+    path = tmp_path / "c.mtx"
+    path.write_text(HEADER + "% a comment\n2 2 2\n\n1 1 1.5\n  % another\n2 1 -2\n")
+    assert np.array_equal(read_matrix_market(path).to_dense(), [[1.5, 0.0], [-2.0, 0.0]])
+
+
+@st.composite
+def coo_matrices(draw):
+    n = draw(st.integers(1, 6))
+    pattern = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    rows, cols = np.nonzero(np.array(pattern).reshape(n, n))
+    vals = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=len(rows), max_size=len(rows)))
+    return n, rows, cols, vals
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(coo_matrices())
+@example((1, [0], [0], [2.5]))
+@example((1, [], [], []))                     # n = 1 with its only row empty
+@example((3, [0, 2], [1, 0], [-0.0, 5e-324]))  # row 1 empty
+def test_matrix_market_write_read_roundtrip(tmp_path, coo):
+    A = from_coo(*coo)
+    path = tmp_path / "r.mtx"
+    write_matrix_market(path, A)
+    B = read_matrix_market(path)
+    assert B.n == A.n
+    assert np.array_equal(B.row_ptr, A.row_ptr)
+    assert np.array_equal(B.col_idx, A.col_idx)
+    assert B.values.tobytes() == A.values.tobytes()   # signed zeros too

@@ -1,5 +1,7 @@
 """Losses, baselines, spectral evaluation, training loops, CSV emission."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,18 @@ def test_csv_writers(tmp_path):
     tr.write_freq_sweep(tmp_path / "f.csv", rows)
     assert (tmp_path / "f.csv").read_text() == ("theta_x,theta_y,mse,in_training_region\n"
                                                 "0,1,0.10000000000000001,1\n")
+
+
+def test_csv_write_failure_keeps_old_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    path = tmp_path / "loss.csv"
+    tr.write_loss_curve(path, tr.TrainResult([(0, 0.5, 0.25)], 0, 0.25))
+    old = path.read_bytes()
+    rows = [(0, 0.5, 0.25), (1, Unprintable(), 0.125)]   # fails on the second row
+    with pytest.raises(RuntimeError, match="cannot format"):
+        tr.write_loss_curve(path, tr.TrainResult(rows, 1, 0.125))
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["loss.csv"]
