@@ -19,7 +19,7 @@ from .kernels import (chebyshev_reference, gnn_chebyshev, gnn_jacobi,
 from .nn import (LayerSpec, MLPSpec, ModelSpec, ParamStore, adam_init,
                  adam_step, diffusion_model_forward, diffusion_model_spec,
                  init_glorot, jacobi_model_forward, jacobi_model_spec,
-                 load_checkpoint, mlp_forward, save_checkpoint)
+                 load_checkpoint, save_checkpoint)
 from .fem import (DiffusionDataConfig, JacobiDataConfig, ProblemInstance,
                   QuadMesh, assemble_diffusion_periodic,
                   assemble_laplace_dirichlet, build_band_mesh, diffusion_graph,

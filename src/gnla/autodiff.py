@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseMatrixCSR, segment_reduce, spmm_csr, spmv_csr, transpose
+from .sparse import SparseMatrixCSR, segment_reduce, spmm_csr, transpose
 
 
 @dataclass
@@ -125,23 +125,14 @@ def matmul(a: Var, b) -> Var:
                         (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
-def csr_matvec(A: SparseMatrixCSR, x: Var) -> Var:
-    """A @ x with A a constant sparse matrix and x a differentiable vector."""
-    At = transpose(A)
-    return x.tape._record(spmv_csr(A, x.value), (x.idx,),
-                          (lambda g: spmv_csr(At, g),))
-
-
 def csr_matmat(A: SparseMatrixCSR, X: Var) -> Var:
-    """A @ X with A constant sparse, X a differentiable dense n-by-k matrix."""
-    At = transpose(A)
+    """A @ X with A constant sparse, X a differentiable dense n-by-k matrix.
+
+    A^T is built only when the gradient is asked for, so a tape that does not
+    record never transposes.
+    """
     return X.tape._record(spmm_csr(A, X.value), (X.idx,),
-                          (lambda g: spmm_csr(At, g),))
-
-
-def reciprocal(x: Var) -> Var:
-    v = x.value
-    return x.tape._record(1.0 / v, (x.idx,), (lambda g: -g / (v * v),))
+                          (lambda g: spmm_csr(transpose(A), g),))
 
 
 def power(x: Var, p: float) -> Var:
@@ -184,18 +175,6 @@ def vmax(x: Var) -> Var:
     """Max over all entries; gradient flows to the first attaining (lowest) index."""
     v = x.value
     flat_idx = int(np.argmax(v.ravel()))
-
-    def vjp(g):
-        grad = np.zeros_like(v).ravel()
-        grad[flat_idx] = g
-        return grad.reshape(v.shape)
-
-    return x.tape._record(v.ravel()[flat_idx], (x.idx,), (vjp,))
-
-
-def vmin(x: Var) -> Var:
-    v = x.value
-    flat_idx = int(np.argmin(v.ravel()))
 
     def vjp(g):
         grad = np.zeros_like(v).ravel()

@@ -30,8 +30,7 @@ _SCHEMA = {
     "": {"version", "seed", "output_dir", "dataset", "train"},
     "dataset": {"kind", "N_y", "beta_frac_min", "beta_frac_max", "counts",
                 "N_min", "N_max", "theta_max"},
-    "train": {"epochs_max", "batch_size", "lr", "K", "m", "early_stop",
-              "probe_style"},
+    "train": {"epochs_max", "batch_size", "lr", "K", "m"},
 }
 
 
@@ -41,6 +40,8 @@ def load_run_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
     if cfg.get("version") != CONFIG_VERSION:
         raise UsageError(f"config must declare \"version\": {CONFIG_VERSION}")
     for section, allowed in _SCHEMA.items():
@@ -68,7 +69,10 @@ def _dataset_config(cfg: dict):
 
 
 def _train_config(cfg: dict) -> tr.TrainConfig:
-    return tr.TrainConfig(seed=cfg.get("seed", 0), **cfg.get("train", {}))
+    try:
+        return tr.TrainConfig(seed=cfg.get("seed", 0), **cfg.get("train", {}))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # -- dataset on disk ----------------------------------------------------------
@@ -205,6 +209,7 @@ def cmd_train(args) -> int:
     kind_cfg, dcfg = _dataset_config(cfg)
     if args.experiment != kind_cfg:
         raise UsageError(f"config dataset.kind is '{kind_cfg}', not '{args.experiment}'")
+    tcfg = _train_config(cfg)
     if args.data:
         kind, datasets = load_dataset(args.data, ("train", "val"))
         if kind != args.experiment:
@@ -212,7 +217,9 @@ def cmd_train(args) -> int:
     else:
         gen = gen_jacobi_dataset if kind_cfg == "jacobi" else gen_diffusion_dataset
         datasets = gen(dcfg)
-    tcfg = _train_config(cfg)
+    for split in ("train", "val"):
+        if not datasets[split]:
+            raise UsageError(f"training needs a non-empty {split} split")
     out_dir = args.out or cfg.get("output_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
     trainer = tr.train_jacobi if args.experiment == "jacobi" else tr.train_diffusion

@@ -334,14 +334,22 @@ def write_instance(dirname: str, inst: ProblemInstance) -> None:
                        header="alpha,beta", comments="")
 
 
+def _read_pairs(path: str, n: int) -> np.ndarray:
+    """One finite 2-column row per matrix row from a side file with a header."""
+    values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if values.shape != (n, 2):
+        raise ValueError(f"{path}: expected {n} rows of 2 values, got shape {values.shape}")
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: non-finite value in data row {bad[0] + 1}")
+    return values
+
+
 def read_instance(dirname: str) -> ProblemInstance:
     A = read_matrix_market(os.path.join(dirname, "matrix.mtx"))
     with open(os.path.join(dirname, "meta.json")) as fh:
         meta = json.load(fh)
-    coords = np.loadtxt(os.path.join(dirname, "coords.csv"),
-                        delimiter=",", skiprows=1, ndmin=2)
+    coords = _read_pairs(os.path.join(dirname, "coords.csv"), A.n)
     tpath = os.path.join(dirname, "targets.csv")
-    targets = None
-    if os.path.exists(tpath):
-        targets = np.loadtxt(tpath, delimiter=",", skiprows=1, ndmin=2)
+    targets = _read_pairs(tpath, A.n) if os.path.exists(tpath) else None
     return ProblemInstance(A, coords, meta["h"], targets, meta)

@@ -15,11 +15,6 @@ from .graph_net import GNLayerSpec, apply_layer, matrix_to_graph, with_attrs
 from .sparse import SparseMatrixCSR, dense_vector, diag, spmv_csr
 
 
-def _column(k):
-    """Edge/vertex update helper: select attribute column ``k`` as an (N,1) slab."""
-    return lambda attrs: attrs[:, k:k + 1]
-
-
 # -- sparse matrix-vector product --------------------------------------------
 
 def gnn_spmv(A: SparseMatrixCSR, x, self_edges: bool = True) -> np.ndarray:

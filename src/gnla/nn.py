@@ -141,28 +141,6 @@ class TapedParams:
         return out
 
 
-def _activate_plain(x, activation):
-    if activation == "relu":
-        return np.where(x > 0, x, 0.0)
-    if activation == "leaky_relu":
-        return np.where(x > 0, x, LEAKY_SLOPE * x)
-    return x
-
-
-def mlp_forward(spec: MLPSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Plain evaluation on a batch (rows are samples)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != spec.in_width:
-        raise ValueError(f"input width {x.shape[1]} != expected {spec.in_width}")
-    store = ParamStore(ModelSpec("mlp", (("mlp", spec),)), params)
-    for k, layer in enumerate(spec.layers):
-        x = x @ store.array("mlp", k, "W")
-        if layer.bias:
-            x = x + store.array("mlp", k, "b")
-        x = _activate_plain(x, layer.activation)
-    return x
-
-
 def _activate_taped(x: Var, activation: str) -> Var:
     if activation == "relu":
         return ad.relu(x)
@@ -259,23 +237,16 @@ def jacobi_model_forward(A: SparseMatrixCSR, store: ParamStore,
     With a tape, returns the (n,) Var plus the TapedParams used (for backward);
     without, returns a plain array.
     """
-    feats = jacobi_model_inputs(A)
-    spec = store.model.group("phi_v")
-    if tape is None:
-        return mlp_forward(spec, _group_values(store, "phi_v"), feats)[:, 0]
+    own_tape = tape is None
+    if own_tape:
+        tape = Tape(record=False)
     params = TapedParams(store, tape)
-    out = mlp_forward_taped(tape, spec, params, "phi_v", tape.leaf(feats))
-    return ad.reshape(out, (A.n,)), params
-
-
-def _group_values(store: ParamStore, group: str) -> np.ndarray:
-    pieces = []
-    spec = store.model.group(group)
-    for k, layer in enumerate(spec.layers):
-        pieces.append(store.array(group, k, "W").ravel())
-        if layer.bias:
-            pieces.append(store.array(group, k, "b"))
-    return np.concatenate(pieces)
+    out = mlp_forward_taped(tape, store.model.group("phi_v"), params, "phi_v",
+                            tape.leaf(jacobi_model_inputs(A)))
+    d = ad.reshape(out, (A.n,))
+    if own_tape:
+        return d.value
+    return d, params
 
 
 def diffusion_model_forward(graph: AttributedGraph, store: ParamStore,

@@ -75,13 +75,6 @@ class SparseMatrixCSR:
         """Row index of each stored entry, aligned with ``values``."""
         return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
 
-    def with_values(self, values: np.ndarray) -> "SparseMatrixCSR":
-        """Same pattern, new entry values."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.values.shape:
-            raise ValueError("value array does not match the stored pattern")
-        return SparseMatrixCSR(self.n, self.row_ptr, self.col_idx, values)
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n))
         dense[self.row_of_entry(), self.col_idx] = self.values

@@ -22,8 +22,16 @@ class TrainConfig:
     K: int = 3                 # loss power iterations
     m: int = 20                # probe count
     seed: int = 0
-    early_stop: bool = True
-    probe_style: str = "columns"   # "columns": sampled from V_hf; "sphere": random unit vectors
+
+    def __post_init__(self):
+        for key, low in (("epochs_max", 1), ("batch_size", 1), ("K", 1), ("m", 1),
+                         ("seed", 0)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+        lr = self.lr
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < np.inf:
+            raise ValueError(f"lr must be a finite number > 0, got {lr!r}")
 
 
 @dataclass
@@ -47,11 +55,8 @@ def desk_diffusion_train_config(seed: int = 0) -> TrainConfig:
 
 # -- relaxation-diagonal experiment ------------------------------------------
 
-def sample_probes(V_hf: np.ndarray, m: int, rng, style: str = "columns") -> np.ndarray:
-    """m probe vectors: distinct V_hf columns, or unit-sphere samples."""
-    if style == "sphere":
-        g = rng.standard_normal((V_hf.shape[0], m))
-        return g / np.linalg.norm(g, axis=0)
+def sample_probes(V_hf: np.ndarray, m: int, rng) -> np.ndarray:
+    """m distinct V_hf columns."""
     if m > V_hf.shape[1]:
         raise ValueError(f"asked for {m} probes but only {V_hf.shape[1]} columns")
     idx = rng.choice(V_hf.shape[1], size=m, replace=False)
@@ -64,34 +69,61 @@ def jacobi_probe_loss(d, A: SparseMatrixCSR, probes: np.ndarray, K: int):
     ``d`` may be a taped Var (returns a scalar Var; the max routes the gradient
     to the argmax probe) or a plain array (returns a float).
     """
-    if isinstance(d, ad.Var):
-        tape = d.tape
-        U = tape.leaf(probes)
-        dcol = ad.reshape(d, (len(d.value), 1))
-        for _ in range(K):
-            U = ad.sub(U, ad.mul(dcol, ad.csr_matmat(A, U)))
-        return ad.vmax(ad.power(ad.l2_norm(U, axis=0), 1.0 / K))
-    U = probes.copy()
+    plain = not isinstance(d, ad.Var)
+    if plain:
+        d = ad.Tape(record=False).leaf(d)
+    U = d.tape.leaf(probes)
+    dcol = ad.reshape(d, (len(d.value), 1))
     for _ in range(K):
-        U = U - d[:, None] * spmm_csr(A, U)
-    norms = np.sqrt((U * U).sum(axis=0))
-    return float(np.max(norms ** (1.0 / K)))
+        U = ad.sub(U, ad.mul(dcol, ad.csr_matmat(A, U)))
+    loss = ad.vmax(ad.power(ad.l2_norm(U, axis=0), 1.0 / K))
+    return float(loss.value) if plain else loss
 
 
 def _jacobi_setup(instances, cfg: TrainConfig):
-    """Per-instance fixed probes (and cached V_hf) keyed by dataset index."""
+    """(instance, fixed probes) pairs; the probes are keyed by dataset index."""
     out = []
     for inst in instances:
-        n_modes = inst.meta["N_y"] - 2
-        _, V_hf = sine_mode_basis(inst.coords, n_modes)
+        _, V_hf = sine_mode_basis(inst.coords, inst.meta["N_y"] - 2)
         rng = np.random.default_rng([cfg.seed, 7, inst.meta["index"]])
-        out.append((inst, sample_probes(V_hf, cfg.m, rng, cfg.probe_style), V_hf))
+        out.append((inst, sample_probes(V_hf, cfg.m, rng)))
     return out
 
 
-def _batches(items, size):
-    for k in range(0, len(items), size):
-        yield items[k:k + size]
+def _fit(store: nn.ParamStore, cfg: TrainConfig, train: list, val: list,
+         taped_loss, plain_loss) -> tuple[nn.ParamStore, TrainResult]:
+    """Adam on batches of samples, each a tuple led by its ProblemInstance;
+    returns the parameters of least validation loss.
+
+    ``taped_loss(sample, store, tape)`` gives the loss Var and its TapedParams,
+    ``plain_loss(sample, store)`` a float: a loss's two branches may differ in
+    the last bit, and validation keeps the plain one's bits.
+    """
+    adam = nn.adam_init(store.size)
+    history, best = [], (np.inf, 0, store.values.copy())
+    for epoch in range(cfg.epochs_max):
+        epoch_losses = []
+        for k in range(0, len(train), cfg.batch_size):
+            gsum = np.zeros(store.size)
+            for sample in train[k:k + cfg.batch_size]:
+                tape = ad.Tape()
+                loss, tparams = taped_loss(sample, store, tape)
+                grad = tparams.flat_grad(ad.backward(tape, loss))
+                if not (np.isfinite(loss.value) and np.all(np.isfinite(grad))):
+                    raise FloatingPointError(
+                        f"non-finite loss or gradient at epoch {epoch} on training "
+                        f"instance {sample[0].meta['index']}")
+                gsum += grad
+                epoch_losses.append(float(loss.value))
+            new_values, adam = nn.adam_step(store.values, gsum, adam, cfg.lr)
+            store = store.replaced(new_values)
+        val_loss = float(np.mean([plain_loss(sample, store) for sample in val]))
+        if not np.isfinite(val_loss):
+            raise FloatingPointError(f"non-finite validation loss {val_loss} at epoch {epoch}")
+        history.append((epoch, float(np.mean(epoch_losses)), val_loss))
+        if val_loss < best[0]:
+            best = (val_loss, epoch, store.values.copy())
+    return store.replaced(best[2]), TrainResult(history, best[1], best[0])
 
 
 def train_jacobi(datasets: dict, cfg: TrainConfig,
@@ -100,36 +132,19 @@ def train_jacobi(datasets: dict, cfg: TrainConfig,
     checkpointing. Deterministic given (datasets, cfg)."""
     if store is None:
         store = nn.init_glorot(nn.jacobi_model_spec(), np.random.default_rng([cfg.seed, 1]))
-    train = _jacobi_setup(datasets["train"], cfg)
-    val = _jacobi_setup(datasets["val"], cfg)
-    adam = nn.adam_init(store.size)
-    history, best = [], (np.inf, 0, store.values.copy())
-    for epoch in range(cfg.epochs_max):
-        epoch_losses = []
-        for batch in _batches(train, cfg.batch_size):
-            gsum = np.zeros(store.size)
-            for inst, probes, _ in batch:
-                tape = ad.Tape()
-                d, tparams = nn.jacobi_model_forward(inst.A, store, tape)
-                loss = jacobi_probe_loss(d, inst.A, probes, cfg.K)
-                gsum += tparams.flat_grad(ad.backward(tape, loss))
-                epoch_losses.append(float(loss.value))
-            new_values, adam = nn.adam_step(store.values, gsum, adam, cfg.lr)
-            store = store.replaced(new_values)
-        train_loss = float(np.mean(epoch_losses))
-        val_loss = float(np.mean([
-            jacobi_probe_loss(nn.jacobi_model_forward(inst.A, store), inst.A,
-                              probes, cfg.K)
-            for inst, probes, _ in val]))
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise RuntimeError(f"training diverged at epoch {epoch} "
-                               f"(train={train_loss}, val={val_loss})")
-        history.append((epoch, train_loss, val_loss))
-        if val_loss < best[0]:
-            best = (val_loss, epoch, store.values.copy())
-    if cfg.early_stop:
-        store = store.replaced(best[2])
-    return store, TrainResult(history, best[1], best[0])
+
+    def taped_loss(sample, store, tape):
+        inst, probes = sample
+        d, tparams = nn.jacobi_model_forward(inst.A, store, tape)
+        return jacobi_probe_loss(d, inst.A, probes, cfg.K), tparams
+
+    def plain_loss(sample, store):
+        inst, probes = sample
+        return jacobi_probe_loss(nn.jacobi_model_forward(inst.A, store), inst.A,
+                                 probes, cfg.K)
+
+    return _fit(store, cfg, _jacobi_setup(datasets["train"], cfg),
+                _jacobi_setup(datasets["val"], cfg), taped_loss, plain_loss)
 
 
 # -- spectral evaluation ------------------------------------------------------
@@ -274,38 +289,25 @@ def diffusion_loss(pred, targets):
 
 def train_diffusion(datasets: dict, cfg: TrainConfig,
                     store: nn.ParamStore | None = None) -> tuple[nn.ParamStore, TrainResult]:
+    """Adam training of the diffusion-coefficient model, as train_jacobi."""
     if store is None:
         store = nn.init_glorot(nn.diffusion_model_spec(),
                                np.random.default_rng([cfg.seed, 2]))
-    train = [(diffusion_graph(inst), inst.targets) for inst in datasets["train"]]
-    val = [(diffusion_graph(inst), inst.targets) for inst in datasets["val"]]
-    adam = nn.adam_init(store.size)
-    history, best = [], (np.inf, 0, store.values.copy())
-    for epoch in range(cfg.epochs_max):
-        epoch_losses = []
-        for batch in _batches(train, cfg.batch_size):
-            gsum = np.zeros(store.size)
-            for graph, targets in batch:
-                tape = ad.Tape()
-                pred, tparams = nn.diffusion_model_forward(graph, store, tape)
-                loss = diffusion_loss(pred, targets)
-                gsum += tparams.flat_grad(ad.backward(tape, loss))
-                epoch_losses.append(float(loss.value))
-            new_values, adam = nn.adam_step(store.values, gsum, adam, cfg.lr)
-            store = store.replaced(new_values)
-        train_loss = float(np.mean(epoch_losses))
-        val_loss = float(np.mean([
-            diffusion_loss(nn.diffusion_model_forward(graph, store), targets)
-            for graph, targets in val]))
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise RuntimeError(f"training diverged at epoch {epoch} "
-                               f"(train={train_loss}, val={val_loss})")
-        history.append((epoch, train_loss, val_loss))
-        if val_loss < best[0]:
-            best = (val_loss, epoch, store.values.copy())
-    if cfg.early_stop:
-        store = store.replaced(best[2])
-    return store, TrainResult(history, best[1], best[0])
+
+    def taped_loss(sample, store, tape):
+        inst, graph = sample
+        pred, tparams = nn.diffusion_model_forward(graph, store, tape)
+        return diffusion_loss(pred, inst.targets), tparams
+
+    def plain_loss(sample, store):
+        inst, graph = sample
+        return diffusion_loss(nn.diffusion_model_forward(graph, store), inst.targets)
+
+    def setup(instances):
+        return [(inst, diffusion_graph(inst)) for inst in instances]
+
+    return _fit(store, cfg, setup(datasets["train"]), setup(datasets["val"]),
+                taped_loss, plain_loss)
 
 
 def freq_sweep_eval(store: nn.ParamStore, theta_grid_max: int, N: int,

@@ -40,15 +40,6 @@ def test_matmul_requires_2d():
         ad.matmul(t.leaf(np.ones(3)), t.leaf(np.ones((3, 2))))
 
 
-def test_csr_matvec_gradient():
-    rng = np.random.default_rng(1)
-    A = random_spd(rng, 8, 0.3)
-    def f(t, p):
-        y = ad.csr_matvec(A, p)
-        return ad.vsum(ad.mul(y, y))
-    scalar_fn_check(f, rng.standard_normal(8))
-
-
 def test_csr_matmat_gradient():
     rng = np.random.default_rng(2)
     A = random_spd(rng, 6, 0.4)
@@ -58,7 +49,7 @@ def test_csr_matmat_gradient():
     scalar_fn_check(f, rng.standard_normal(12))
 
 
-@pytest.mark.parametrize("op", [ad.reciprocal, ad.sqrt,
+@pytest.mark.parametrize("op", [ad.sqrt,
                                 lambda x: ad.power(x, 3.0),
                                 lambda x: ad.power(x, 0.5)])
 def test_elementwise_ops(op):
@@ -74,13 +65,6 @@ def test_max_gradient_goes_to_first_attaining_index():
     t = Tape()
     p = t.leaf(np.array([3.0, 5.0, 5.0]))
     g = backward(t, ad.vmax(p))[p.idx]
-    assert np.array_equal(g, [0.0, 1.0, 0.0])
-
-
-def test_min_gradient_goes_to_first_attaining_index():
-    t = Tape()
-    p = t.leaf(np.array([2.0, 1.0, 1.0]))
-    g = backward(t, ad.vmin(p))[p.idx]
     assert np.array_equal(g, [0.0, 1.0, 0.0])
 
 

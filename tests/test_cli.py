@@ -149,6 +149,54 @@ def test_config_bad_dataset_kind(tmp_path):
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"train": {"epochs_max": 0}}, "epochs_max must be an integer >= 1, got 0"),
+    ({"train": {"batch_size": 0}}, "batch_size must be an integer >= 1, got 0"),
+    ({"train": {"epochs_max": "2"}}, "epochs_max must be an integer >= 1, got '2'"),
+    ({"dataset": {"kind": "jacobi", "N_y": 8, "counts": [3, 0, 2]}},
+     "training needs a non-empty val split"),
+    ({"train": {"probe_style": "sphere"}}, "unknown config key(s) in train: ['probe_style']"),
+    ({"train": {"early_stop": False}}, "unknown config key(s) in train: ['early_stop']"),
+])
+def test_train_bad_config_is_usage_error(tmp_path, capsys, overrides, message):
+    cfg = run_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert main(["train", "jacobi", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_not_an_object_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text("[1, 2]")
+    assert main(["train", "jacobi", "--config", str(path)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def test_train_divergence_exits_1(tmp_path, capsys):
+    cfg = run_config(tmp_path, train={"epochs_max": 2, "batch_size": 2, "lr": 1e300})
+    out = tmp_path / "run"
+    assert main(["train", "jacobi", "--config", cfg, "--out", str(out)]) == 1
+    assert "non-finite loss or gradient at epoch 0 on training instance" in \
+        capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+
+
+def test_train_non_finite_target_file_exits_1(tmp_path, capsys):
+    cfg = run_config(tmp_path,
+                     dataset={"kind": "diffusion", "N_min": 6, "N_max": 6,
+                              "theta_max": 2, "counts": [2, 1, 1]},
+                     train={"epochs_max": 1, "batch_size": 2, "lr": 1e-3})
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    targets = data / "inst_0001" / "targets.csv"
+    lines = targets.read_text().splitlines()
+    targets.write_text("\n".join(lines[:3] + ["nan,0.5"] + lines[4:]) + "\n")
+    assert main(["train", "diffusion", "--config", cfg, "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert f"{targets}: non-finite value in data row 3" in capsys.readouterr().err
+
+
 def test_train_eval_jacobi_roundtrip(tmp_path, capsys):
     cfg = run_config(tmp_path)
     data = tmp_path / "data"

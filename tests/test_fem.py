@@ -227,6 +227,25 @@ def test_instance_disk_roundtrip(tmp_path):
     assert back.meta["theta"] == [1, 2, 0, 1]
 
 
+@pytest.mark.parametrize("fname, edit, message", [
+    ("coords.csv", lambda lines: lines[:2] + ["inf,0.5"] + lines[3:],
+     "non-finite value in data row 2"),
+    ("targets.csv", lambda lines: lines[:5] + ["nan,0.5"] + lines[6:],
+     "non-finite value in data row 5"),
+    ("targets.csv", lambda lines: lines[:-1], "expected 36 rows of 2 values"),
+    ("coords.csv", lambda lines: [line + ",0.0" for line in lines],
+     "expected 36 rows of 2 values"),
+])
+def test_read_instance_rejects_bad_side_files(tmp_path, fname, edit, message):
+    inst = assemble_diffusion_periodic(6, 1, 2, 0, 1)
+    inst.meta["index"] = 0
+    write_instance(str(tmp_path / "i0"), inst)
+    path = tmp_path / "i0" / fname
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"{fname}: {message}"):
+        read_instance(str(tmp_path / "i0"))
+
+
 def test_write_instance_deterministic_bytes(tmp_path):
     cfg = JacobiDataConfig(N_y=8, counts=(1, 0, 0), seed=1)
     for name in ("a", "b"):

@@ -13,7 +13,7 @@ from gnla.fem import assemble_diffusion_periodic, diffusion_graph
 from gnla.nn import (LayerSpec, MLPSpec, ModelSpec, ParamStore, adam_init,
                      adam_step, diffusion_model_forward, diffusion_model_spec,
                      init_glorot, jacobi_model_forward, jacobi_model_inputs,
-                     jacobi_model_spec, load_checkpoint, mlp, mlp_forward,
+                     jacobi_model_spec, load_checkpoint, mlp,
                      mlp_forward_taped, save_checkpoint)
 from gnla.sparse import from_dense
 from conftest import random_spd, tridiag
@@ -54,12 +54,15 @@ def test_mlp_forward_taped_matches_plain():
     model = ModelSpec("m", (("g", mlp(4, 8, 2, final_activation="leaky_relu")),))
     store = init_glorot(model, rng)
     x = rng.standard_normal((5, 4))
-    plain = mlp_forward(model.group("g"), store.values, x)
-    tape = ad.Tape()
-    from gnla.nn import TapedParams
-    taped = mlp_forward_taped(tape, model.group("g"), TapedParams(store, tape),
-                              "g", tape.leaf(x))
-    assert np.array_equal(plain, taped.value)
+    h = x @ store.array("g", 0, "W") + store.array("g", 0, "b")
+    h = np.where(h > 0, h, 0.0)
+    h = h @ store.array("g", 1, "W") + store.array("g", 1, "b")
+    oracle = np.where(h > 0, h, 0.01 * h)
+    for record in (True, False):
+        tape = ad.Tape(record=record)
+        out = mlp_forward_taped(tape, model.group("g"), nn.TapedParams(store, tape),
+                                "g", tape.leaf(x))
+        assert np.array_equal(out.value, oracle)
 
 
 def test_glorot_init_bounds_and_zero_biases():
