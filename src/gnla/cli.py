@@ -58,14 +58,13 @@ def load_run_config(path: str) -> dict:
 def _dataset_config(cfg: dict):
     ds = dict(cfg.get("dataset", {}))
     kind = ds.pop("kind", None)
-    seed = cfg.get("seed", 0)
-    if "counts" in ds:
-        ds["counts"] = tuple(ds["counts"])
-    if kind == "jacobi":
-        return kind, JacobiDataConfig(seed=seed, **ds)
-    if kind == "diffusion":
-        return kind, DiffusionDataConfig(seed=seed, **ds)
-    raise UsageError("dataset.kind must be 'jacobi' or 'diffusion'")
+    classes = {"jacobi": JacobiDataConfig, "diffusion": DiffusionDataConfig}
+    if kind not in classes:
+        raise UsageError("dataset.kind must be 'jacobi' or 'diffusion'")
+    try:
+        return kind, classes[kind](seed=cfg.get("seed", 0), **ds)
+    except (TypeError, ValueError) as exc:    # a key of the other kind, or a bad value
+        raise UsageError(f"invalid dataset config: {exc}") from None
 
 
 def _train_config(cfg: dict) -> tr.TrainConfig:
@@ -150,10 +149,7 @@ def cmd_kernel(args) -> int:
         got = kernels.gnn_jacobi(A, x, np.zeros(A.n), args.omega, args.iters)
         want = kernels.jacobi_reference(A, x, np.zeros(A.n), args.omega, args.iters)
     elif name == "chebyshev":
-        if args.matrix:
-            lam = spectrum_bounds(A)
-        else:  # closed-form extremes of the tridiagonal demo
-            lam = 2.0 - 2.0 * np.cos(np.pi * np.array([1, A.n]) / (A.n + 1))
+        lam = spectrum_bounds(A)
         got = kernels.gnn_chebyshev(A, x, np.zeros(A.n), lam[0], lam[1], args.iters)
         want = kernels.chebyshev_reference(A, x, np.zeros(A.n), lam[0], lam[1], args.iters)
     elif name == "power":
@@ -210,6 +206,12 @@ def cmd_train(args) -> int:
     if args.experiment != kind_cfg:
         raise UsageError(f"config dataset.kind is '{kind_cfg}', not '{args.experiment}'")
     tcfg = _train_config(cfg)
+    if args.experiment == "jacobi":
+        n_modes = dcfg.N_y - 2          # sine_mode_basis's modes per direction
+        n_high = n_modes ** 2 - (n_modes // 2) ** 2
+        if tcfg.m > n_high:
+            raise UsageError(f"train.m = {tcfg.m} exceeds the {n_high} high-frequency "
+                             f"modes of dataset.N_y = {dcfg.N_y}")
     if args.data:
         kind, datasets = load_dataset(args.data, ("train", "val"))
         if kind != args.experiment:

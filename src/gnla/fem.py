@@ -247,6 +247,28 @@ def dst_basis(N_y: int) -> tuple[np.ndarray, np.ndarray]:
 
 # -- dataset generation -------------------------------------------------------
 
+def check_int(key: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(key: str, value, low: float, high: float) -> None:
+    """Raise ValueError unless ``value`` is a number (not a bool) in (low, high)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value < high:
+        raise ValueError(f"{key} must be a number in ({low}, {high}), got {value!r}")
+
+
+def _check_seed_and_counts(cfg) -> None:
+    """The fields both dataset configs share; counts is stored as a tuple."""
+    check_int("seed", cfg.seed, 0)
+    if not isinstance(cfg.counts, (list, tuple)) or len(cfg.counts) != 3:
+        raise ValueError(f"counts must list three split sizes, got {cfg.counts!r}")
+    for count in cfg.counts:
+        check_int("each of counts", count, 0)
+    object.__setattr__(cfg, "counts", tuple(cfg.counts))
+
+
 @dataclass(frozen=True)
 class JacobiDataConfig:
     N_y: int = 20
@@ -254,6 +276,16 @@ class JacobiDataConfig:
     beta_frac_max: float = 0.45
     counts: tuple[int, int, int] = (60, 20, 20)
     seed: int = 0
+
+    def __post_init__(self):
+        check_int("N_y", self.N_y, 6)           # build_band_mesh's smallest grid
+        # 0 < beta < h/2 keeps the band clear of the neighbouring grid columns
+        check_real("beta_frac_min", self.beta_frac_min, 0, 0.5)
+        check_real("beta_frac_max", self.beta_frac_max, 0, 0.5)
+        if self.beta_frac_min > self.beta_frac_max:
+            raise ValueError(f"beta_frac_min ({self.beta_frac_min}) must not exceed "
+                             f"beta_frac_max ({self.beta_frac_max})")
+        _check_seed_and_counts(self)
 
 
 @dataclass(frozen=True)
@@ -263,6 +295,12 @@ class DiffusionDataConfig:
     theta_max: int = 4
     counts: tuple[int, int, int] = (100, 30, 20)
     seed: int = 0
+
+    def __post_init__(self):
+        check_int("N_min", self.N_min, 4)       # assemble_diffusion_periodic's smallest grid
+        check_int("N_max", self.N_max, self.N_min)
+        check_int("theta_max", self.theta_max, 0)
+        _check_seed_and_counts(self)
 
 
 def paper_jacobi_config(seed: int = 0) -> JacobiDataConfig:

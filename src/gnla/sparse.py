@@ -169,10 +169,38 @@ def transpose(A: SparseMatrixCSR) -> SparseMatrixCSR:
 
 
 def spectrum_bounds(A: SparseMatrixCSR) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the symmetric part of A (dense solve)."""
-    dense = A.to_dense()
-    w = np.linalg.eigvalsh((dense + dense.T) / 2)
-    return float(w[0]), float(w[-1])
+    """Smallest and largest eigenvalue of the symmetric part S of A: Lanczos
+    with full reorthogonalisation (Golub & Van Loan, sec. 10.1), one SpMV per
+    step. The extreme Ritz values are taken once both residuals |beta_j y_last|
+    are <= 1e-12 max|theta| (checked every 10 steps), at a breakdown (beta = 0)
+    or at step n, where they are exact."""
+    n = A.n
+    if n == 0:
+        raise ValueError("spectrum_bounds needs a matrix with at least one row")
+    rows = A.row_of_entry()
+    # [v, v]/2 over both orientations: a symmetric A keeps its values exactly
+    S = from_coo(n, np.concatenate((rows, A.col_idx)), np.concatenate((A.col_idx, rows)),
+                 np.concatenate((A.values, A.values)) / 2, sum_duplicates=True)
+    Q = np.empty((min(n, 32), n))           # Lanczos basis as rows, grown by blocks
+    q = np.random.default_rng(12345).standard_normal(n)
+    Q[0] = q / np.linalg.norm(q)
+    alpha, beta = np.zeros(n), np.zeros(n)
+    for j in range(n):
+        w = spmv_csr(S, Q[j])
+        alpha[j] = Q[j] @ w
+        for _ in range(2):                  # Gram-Schmidt twice keeps Q orthonormal
+            w -= Q[:j + 1].T @ (Q[:j + 1] @ w)
+        beta[j] = np.linalg.norm(w)
+        stop = beta[j] == 0 or j == n - 1
+        if stop or j % 10 == 9:
+            # the tridiagonal; eigh reads only its lower triangle
+            theta, Y = np.linalg.eigh(np.diag(alpha[:j + 1]) + np.diag(beta[:j], -1))
+            resid = beta[j] * np.abs(Y[-1, [0, -1]])
+            if stop or np.all(resid <= 1e-12 * np.max(np.abs(theta))):
+                return float(theta[0]), float(theta[-1])
+        if j + 1 == len(Q):
+            Q = np.concatenate((Q, np.empty((min(n, 2 * len(Q)) - len(Q), n))))
+        Q[j + 1] = w / beta[j]
 
 
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])

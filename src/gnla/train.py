@@ -10,8 +10,8 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .fem import (FLOAT_FMT, ProblemInstance, assemble_diffusion_periodic,
-                  diffusion_graph, sine_mode_basis)
-from .sparse import SparseMatrixCSR, atomic_write, diag, spmm_csr, spmv_csr
+                  check_int, check_real, diffusion_graph, sine_mode_basis)
+from .sparse import SparseMatrixCSR, atomic_write, diag, spectrum_bounds, spmm_csr
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,8 @@ class TrainConfig:
     def __post_init__(self):
         for key, low in (("epochs_max", 1), ("batch_size", 1), ("K", 1), ("m", 1),
                          ("seed", 0)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
-        lr = self.lr
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < np.inf:
-            raise ValueError(f"lr must be a finite number > 0, got {lr!r}")
+            check_int(key, getattr(self, key), low)
+        check_real("lr", self.lr, 0, np.inf)
 
 
 @dataclass
@@ -149,40 +145,20 @@ def train_jacobi(datasets: dict, cfg: TrainConfig,
 
 # -- spectral evaluation ------------------------------------------------------
 
-def omega_co(A: SparseMatrixCSR, tol: float = 1e-10, max_iter: int = 20000) -> float:
+def omega_co(A: SparseMatrixCSR) -> float:
     """2 / (lambda_min + lambda_max) of D^{-1} A, the classical optimal weight.
 
-    Both extremal eigenvalues come from power iteration on the symmetrized
-    form D^{-1/2} A D^{-1/2} (and its reflection around lambda_max).
+    Both extremal eigenvalues come from ``spectrum_bounds`` of the similar
+    matrix D^{-1/2} A D^{-1/2}, built on A's pattern.
     """
     d = diag(A)
     if np.any(d <= 0):
         raise ValueError("omega_co requires a positive diagonal")
     s = 1.0 / np.sqrt(d)
-    mv = lambda v: s * spmv_csr(A, s * v)
-    rng = np.random.default_rng(12345)
-    lam_max = _power_lam(mv, A.n, tol, max_iter, rng)
-    lam_min = lam_max - _power_lam(lambda v: lam_max * v - mv(v), A.n, tol,
-                                   max_iter, rng)
+    scaled = SparseMatrixCSR(A.n, A.row_ptr, A.col_idx,
+                             s[A.row_of_entry()] * A.values * s[A.col_idx])
+    lam_min, lam_max = spectrum_bounds(scaled)
     return 2.0 / (lam_min + lam_max)
-
-
-def _power_lam(mv, n, tol, max_iter, rng) -> float:
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam_prev = np.inf
-    for _ in range(max_iter):
-        w = mv(v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        lam = float(v @ mv(v))
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            return lam
-        lam_prev = lam
-    raise RuntimeError(f"power iteration did not converge in {max_iter} steps "
-                       f"(last change {abs(lam - lam_prev):.3e})")
 
 
 @dataclass
@@ -194,21 +170,22 @@ class EigEstimate:
         return float(np.max(np.abs(self.values)))
 
 
-def projected_iteration_matrix(d: np.ndarray, A: SparseMatrixCSR,
+def projected_iteration_matrix(d: np.ndarray, AV: np.ndarray,
                                V_hf: np.ndarray) -> np.ndarray:
-    """I - V_hf^T diag(d) A V_hf: the error propagator seen by the high modes."""
-    AV = spmm_csr(A, V_hf)
+    """I - V_hf^T diag(d) A V_hf, given AV = A V_hf: the error propagator seen
+    by the high modes."""
     return np.eye(V_hf.shape[1]) - V_hf.T @ (d[:, None] * AV)
 
 
-def eval_jacobi(d: np.ndarray, A: SparseMatrixCSR, V_hf: np.ndarray,
+def eval_jacobi(d: np.ndarray, AV: np.ndarray, V_hf: np.ndarray,
                 k: int = 10) -> EigEstimate:
-    """Top-k largest-magnitude eigenvalues of the projected error propagator.
+    """Top-k largest-magnitude eigenvalues of the projected error propagator,
+    given AV = A V_hf.
 
     The propagator is not symmetric, so all its eigenvalues come from one
     dense eigensolve; a complex value is reported by its magnitude.
     """
-    T = projected_iteration_matrix(np.asarray(d, dtype=np.float64), A, V_hf)
+    T = projected_iteration_matrix(np.asarray(d, dtype=np.float64), AV, V_hf)
     w = np.linalg.eigvals(T)
     order = np.argsort(-np.abs(w), kind="stable")[:k]
     vals = np.where(np.abs(w[order].imag) <= 1e-8 * np.maximum(1.0, np.abs(w[order])),
@@ -253,10 +230,11 @@ def compare_methods(test_set: list[ProblemInstance],
     for inst in test_set:
         mid = inst.meta.get("index", 0)
         _, V_hf = sine_mode_basis(inst.coords, inst.meta["N_y"] - 2)
+        AV = spmm_csr(inst.A, V_hf)        # shared by every method
         radii = {}
         for method in ("learned",) + BASELINES:
             d = learned(inst.A) if method == "learned" else method_diagonal(method, inst.A)
-            est = eval_jacobi(d, inst.A, V_hf, k=k)
+            est = eval_jacobi(d, AV, V_hf, k=k)
             radii[method] = est.spectral_radius
             report.max_eigs[method].append(est.spectral_radius)
             for rank, val in enumerate(est.values):

@@ -166,6 +166,51 @@ def test_train_bad_config_is_usage_error(tmp_path, capsys, overrides, message):
     assert not out.exists()
 
 
+JACOBI = {"kind": "jacobi", "N_y": 8, "counts": [3, 2, 2]}
+DIFFUSION = {"kind": "diffusion", "N_min": 6, "N_max": 6, "theta_max": 2, "counts": [2, 1, 1]}
+
+
+@pytest.mark.parametrize("dataset, message", [
+    ({**JACOBI, "N_y": "8"}, "N_y must be an integer >= 6, got '8'"),
+    ({**JACOBI, "N_y": 5}, "N_y must be an integer >= 6, got 5"),
+    ({**DIFFUSION, "N_min": 6.5}, "N_min must be an integer >= 4, got 6.5"),
+    ({**DIFFUSION, "N_min": 8}, "N_max must be an integer >= 8, got 6"),
+    ({**DIFFUSION, "theta_max": -1}, "theta_max must be an integer >= 0, got -1"),
+    ({**JACOBI, "counts": [3, 2]}, "counts must list three split sizes, got [3, 2]"),
+    ({**JACOBI, "counts": 7}, "counts must list three split sizes, got 7"),
+    ({**DIFFUSION, "counts": [3, -1, 2]}, "each of counts must be an integer >= 0, got -1"),
+    ({**JACOBI, "beta_frac_min": float("nan")},
+     "beta_frac_min must be a number in (0, 0.5), got nan"),
+    ({**JACOBI, "beta_frac_max": "0.4"},
+     "beta_frac_max must be a number in (0, 0.5), got '0.4'"),
+    ({**JACOBI, "beta_frac_min": 0.3, "beta_frac_max": 0.2},
+     "beta_frac_min (0.3) must not exceed beta_frac_max (0.2)"),
+    ({**DIFFUSION, "N_y": 8}, "unexpected keyword argument 'N_y'"),
+])
+def test_bad_dataset_config_is_usage_error(tmp_path, capsys, dataset, message):
+    cfg = run_config(tmp_path, dataset=dataset)
+    out = tmp_path / "d"
+    assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("N_y, n_high", [(8, 27), (20, 243)])
+def test_train_m_beyond_high_modes_is_usage_error(tmp_path, capsys, N_y, n_high):
+    # checked before the dataset is read: the --data folder does not exist
+    cfg = run_config(tmp_path, dataset={"kind": "jacobi", "N_y": N_y, "counts": [3, 2, 2]},
+                     train={"m": n_high + 1})
+    assert main(["train", "jacobi", "--config", cfg, "--data", str(tmp_path / "none"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert (f"train.m = {n_high + 1} exceeds the {n_high} high-frequency modes "
+            f"of dataset.N_y = {N_y}") in capsys.readouterr().err
+    cfg = run_config(tmp_path, dataset={"kind": "jacobi", "N_y": N_y, "counts": [3, 2, 2]},
+                     train={"m": n_high})
+    assert main(["train", "jacobi", "--config", cfg, "--data", str(tmp_path / "none"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "cannot read dataset manifest" in capsys.readouterr().err
+
+
 def test_config_not_an_object_is_usage_error(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text("[1, 2]")

@@ -8,9 +8,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
+from gnla.fem import jacobi_instance, paper_jacobi_config
 from gnla.sparse import (MatrixFormatError, SparseMatrixCSR, diag, from_coo,
                          from_dense, identity, read_matrix_market, segment_reduce,
-                         spmm_csr, spmv_csr, transpose, write_matrix_market)
+                         spectrum_bounds, spmm_csr, spmv_csr, transpose,
+                         write_matrix_market)
 
 
 def test_identity_spmv():
@@ -29,6 +31,43 @@ def test_from_coo_sorts_and_sums_duplicates():
 def test_from_coo_rejects_duplicates_by_default():
     with pytest.raises(MatrixFormatError):
         from_coo(2, [0, 0], [1, 1], [1.0, 1.0])
+
+
+@st.composite
+def coo_triplets(draw):
+    """n and unordered (row, col, value) triplets, positions possibly repeated."""
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return n, []
+    index = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(index, index, st.floats(-1e6, 1e6)), max_size=15))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coo_triplets())
+@example((0, []))
+@example((1, []))
+@example((1, [(0, 0, 1.5), (0, 0, -0.5)]))
+@example((3, [(2, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0), (0, 1, 4.0)]))   # row 1 empty
+def test_from_coo_matches_dense_oracle(coo):
+    n, triplets = coo
+    rows = np.array([t[0] for t in triplets], dtype=np.int64)
+    cols = np.array([t[1] for t in triplets], dtype=np.int64)
+    vals = np.array([t[2] for t in triplets])
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), vals)        # duplicates summed in input order
+    positions = sorted(set(zip(rows.tolist(), cols.tolist())))
+    A = from_coo(n, rows, cols, vals, sum_duplicates=True)
+    assert A.n == n and A.nnz == len(positions)
+    assert np.array_equal(A.row_ptr, np.searchsorted([r for r, _ in positions],
+                                                     np.arange(n + 1)))
+    assert np.array_equal(A.col_idx, [c for _, c in positions])
+    assert np.array_equal(A.to_dense(), dense)
+    if len(positions) < len(triplets):
+        with pytest.raises(MatrixFormatError, match="duplicate"):
+            from_coo(n, rows, cols, vals)
+    else:
+        assert from_coo(n, rows, cols, vals).values.tobytes() == A.values.tobytes()
 
 
 def test_csr_validation():
@@ -202,3 +241,42 @@ def test_matrix_market_write_read_roundtrip(tmp_path, coo):
     assert np.array_equal(B.row_ptr, A.row_ptr)
     assert np.array_equal(B.col_idx, A.col_idx)
     assert B.values.tobytes() == A.values.tobytes()   # signed zeros too
+
+
+def _nonsymmetric():
+    rng = np.random.default_rng(4)
+    return from_dense(rng.standard_normal((30, 30)) * (rng.random((30, 30)) < 0.3))
+
+
+def _empty_row():
+    # row and column 7 empty: the smallest eigenvalue, 0, lives on e_7 alone
+    dense = random_spd(np.random.default_rng(5), 20, 0.3).to_dense()
+    dense[7] = 0.0
+    dense[:, 7] = 0.0
+    return from_dense(dense)
+
+
+SPECTRUM_CASES = {
+    "nonsymmetric": _nonsymmetric,
+    "n=1": lambda: from_dense([[-3.5]]),
+    # four distinct eigenvalues: the Krylov space is exhausted after 4 steps
+    "repeated-diagonal": lambda: from_dense(np.diag(np.tile([0.5, 1.0, 2.0, 5.0], 10))),
+    "empty-row": _empty_row,
+    "paper-laplacian": lambda: jacobi_instance(paper_jacobi_config(), 0).A,
+}
+
+
+@pytest.mark.parametrize("case", list(SPECTRUM_CASES))
+def test_spectrum_bounds_match_dense_eigvalsh(case):
+    A = SPECTRUM_CASES[case]()
+    dense = A.to_dense()
+    w = np.linalg.eigvalsh((dense + dense.T) / 2)
+    lo, hi = spectrum_bounds(A)
+    scale = max(abs(w[0]), abs(w[-1]))
+    assert abs(lo - w[0]) <= 1e-12 * scale
+    assert abs(hi - w[-1]) <= 1e-12 * scale
+
+
+def test_spectrum_bounds_of_empty_matrix_raises():
+    with pytest.raises(ValueError, match="spectrum_bounds needs a matrix with at least one row"):
+        spectrum_bounds(identity(0))
