@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_net import (GNLayerSpec, apply_layer, graph_to_matrix, matrix_to_graph,
-                        with_attrs)
+from .graph_net import (GNLayerSpec, apply_layer, apply_layers, graph_to_matrix,
+                        matrix_to_graph, with_attrs)
 from .kernels import jacobi_reference
 from .sparse import SparseMatrixCSR, dense_vector, diag, spmv_csr
 
@@ -63,17 +63,13 @@ def soc_classic(A: SparseMatrixCSR, tau: float = 0.25) -> SparseMatrixCSR:
         raise ValueError("tau must lie in (0, 1]")
     graph = matrix_to_graph(A, self_edges=True,
                             vertex_attrs=np.zeros((A.n, 1)))
-    off_diag = (graph.src != graph.dst).astype(np.float64)
-
-    def rho_max_neg(block):
-        # max over -A_ij, off-diagonal entries only; self-edge contributes -inf
-        vals = np.where(block[:, 1] > 0, -block[:, 0], -np.inf)
-        return np.max(vals, initial=-np.inf)
-
+    off_diag = (graph.src != graph.dst)[:, None]
+    # layer 1: row maximum of -A_ij over off-diagonal edges; the self-edge's 0
+    # leaves a row without a negative off-diagonal at v <= 0
     layer1 = GNLayerSpec(
-        phi_e=lambda E, Vs, Vd, g: np.column_stack([E[:, 0], off_diag]),
+        phi_e=lambda E, Vs, Vd, g: np.where(off_diag, -E, 0.0),
         phi_v=lambda V, ebar, g: ebar,
-        rho_ev=rho_max_neg,
+        rho_ev="max",
     )
     mid = apply_layer(graph, layer1)
     v = mid.vertex_attrs[:, 0]
@@ -97,22 +93,18 @@ def soc_abs(A: SparseMatrixCSR, theta: float) -> SparseMatrixCSR:
     if not (0 < theta <= 1):
         raise ValueError("theta must lie in (0, 1]")
     graph = matrix_to_graph(A, self_edges=True, vertex_attrs=np.zeros((A.n, 1)))
-    off_diag = (graph.src != graph.dst).astype(np.float64)
-
-    def rho_max_abs(block):
-        vals = np.where(block[:, 1] > 0, np.abs(block[:, 0]), 0.0)
-        return np.max(vals, initial=0.0)
-
+    off_diag = (graph.src != graph.dst)[:, None]
+    # layer 1: row maximum of |A_ij| over off-diagonal edges (0 on the self-edge)
     layer1 = GNLayerSpec(
-        phi_e=lambda E, Vs, Vd, g: np.column_stack([E[:, 0], off_diag]),
+        phi_e=lambda E, Vs, Vd, g: np.where(off_diag, np.abs(E), 0.0),
         phi_v=lambda V, ebar, g: ebar,
-        rho_ev=rho_max_abs,
+        rho_ev="max",
     )
-    mid = apply_layer(graph, layer1)
-    row_max = mid.vertex_attrs[:, 0]
-    mask = (np.abs(graph.edge_attrs[:, 0]) >= theta * row_max[graph.dst]) & (off_diag > 0)
-    layer2 = GNLayerSpec(phi_e=lambda E, Vs, Vd, g: mask.astype(np.float64)[:, None])
-    return graph_to_matrix(apply_layer(mid, layer2))
+    # layer 2: each edge now carries its masked |A_ij| and compares it with
+    # the row maximum at its destination
+    layer2 = GNLayerSpec(
+        phi_e=lambda E, Vs, Vd, g: ((E >= theta * Vd) & off_diag).astype(np.float64))
+    return graph_to_matrix(apply_layers(graph, [layer1, layer2]))
 
 
 def cf_split_greedy(S_hat: SparseMatrixCSR) -> CFPartition:
@@ -150,16 +142,16 @@ def direct_interpolation(A: SparseMatrixCSR, S_hat: SparseMatrixCSR,
     over off-diagonal stored entries. Layer 2 sets P_ij = (1-C_i)(-A_ij alpha_i).
     Post-processing puts 1 on the diagonal of C rows and removes F columns.
 
-    Returns the rectangular operator as (square-pattern CSR with F columns
-    zeroed, dense n-by-|C| array). The dense form is the usable prolongator.
+    Returns (P_square, P): layer 2's output on A's pattern, F columns
+    included, and the dense n-by-|C| prolongator holding its C columns.
     """
     d = diag(A)
     C = cf.indicator()
     shat_vals = _aligned_values(A, S_hat)
     graph = matrix_to_graph(A, self_edges=True,
                             vertex_attrs=np.column_stack([d, C, np.zeros(A.n)]))
-    off_diag = (graph.src != graph.dst).astype(np.float64)
-    aux = np.column_stack([graph.edge_attrs[:, 0], shat_vals, off_diag])
+    off_diag = (graph.src != graph.dst)[:, None]
+    strong = off_diag & (shat_vals != 0)[:, None]
 
     def phi_v1(V, ebar, g):
         alpha = np.zeros(len(V))
@@ -172,38 +164,31 @@ def direct_interpolation(A: SparseMatrixCSR, S_hat: SparseMatrixCSR,
         alpha[fine] = ebar[fine, 0] / den[fine]
         return np.column_stack([V[:, 0], V[:, 1], alpha])
 
-    # layer 1: edge update passes C_j (and carries S_hat / off-diagonal flags
-    # needed by the aggregation), vertex update forms alpha_i
+    # layer 1: each edge writes A_ij and A_ij C_j [S_hat_ij != 0], both 0 on
+    # the self-edge; their sums are alpha_i's numerator and denominator
     layer1 = GNLayerSpec(
         phi_e=lambda E, Vs, Vd, g: np.column_stack(
-            [aux[:, 0], Vs[:, 1], aux[:, 1], aux[:, 2]]),
+            [np.where(off_diag, E, 0.0), np.where(strong, E * Vs[:, 1:2], 0.0)]),
         phi_v=phi_v1,
-        rho_ev=_interp_sums,
+        rho_ev="sum",
     )
     mid = apply_layer(graph, layer1)
-
-    diag_edge = (graph.src == graph.dst).astype(np.float64)
 
     def phi_e2(E, Vs, Vd, g):
         p = (1.0 - Vd[:, 1]) * (-graph.edge_attrs[:, 0] * Vd[:, 2])
         # post-processing step (a): unit diagonal on C rows
-        p = p + Vd[:, 1] * diag_edge
+        p = p + Vd[:, 1] * ~off_diag[:, 0]
         return p[:, None]
 
-    final = apply_layer(mid, GNLayerSpec(phi_e=phi_e2))
-    P_square = graph_to_matrix(final)
-    # post-processing step (b): drop F columns, renumbering by coarse_index
-    dense = P_square.to_dense()
-    cols = sorted(cf.coarse_index, key=cf.coarse_index.get)
-    return P_square, dense[:, cols]
-
-
-def _interp_sums(block):
-    """num = sum of off-diagonal A_ij; den = same sum restricted to strong coarse j."""
-    off = block[:, 3] > 0
-    num = block[off, 0].sum()
-    den = (block[off, 0] * block[off, 1] * (block[off, 2] != 0)).sum()
-    return np.array([num, den])
+    P_square = graph_to_matrix(apply_layer(mid, GNLayerSpec(phi_e=phi_e2)))
+    # post-processing step (b): scatter the C columns, renumbered by
+    # coarse_index, into the n-by-|C| prolongator
+    col = np.full(A.n, -1)
+    col[list(cf.coarse_index)] = list(cf.coarse_index.values())
+    keep = col[P_square.col_idx] >= 0
+    P = np.zeros((A.n, cf.num_coarse))
+    P[P_square.row_of_entry()[keep], col[P_square.col_idx[keep]]] = P_square.values[keep]
+    return P_square, P
 
 
 def _aligned_values(A: SparseMatrixCSR, S: SparseMatrixCSR) -> np.ndarray:
@@ -231,7 +216,7 @@ def two_level_solve(A: SparseMatrixCSR, b, tau: float = 0.25, omega: float = 2.0
         _, P = direct_interpolation(A, S_hat, cf)
     A_dense = A.to_dense()
     A_coarse = P.T @ A_dense @ P
-    if abs(np.linalg.det(A_coarse)) < 1e-300:
+    if np.linalg.slogdet(A_coarse)[0] == 0:
         raise np.linalg.LinAlgError("coarse matrix is singular")
     x = np.zeros(A.n)
     residuals = [float(np.linalg.norm(b - spmv_csr(A, x)))]

@@ -216,6 +216,11 @@ def cmd_train(args) -> int:
         kind, datasets = load_dataset(args.data, ("train", "val"))
         if kind != args.experiment:
             raise UsageError(f"dataset at {args.data} is '{kind}'")
+        if args.experiment == "jacobi":
+            for inst in datasets["train"] + datasets["val"]:
+                if inst.meta.get("N_y") != dcfg.N_y:
+                    raise UsageError(f"dataset at {args.data} has N_y = {inst.meta.get('N_y')}, "
+                                     f"but the config's dataset.N_y is {dcfg.N_y}")
     else:
         gen = gen_jacobi_dataset if kind_cfg == "jacobi" else gen_diffusion_dataset
         datasets = gen(dcfg)

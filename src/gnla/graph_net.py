@@ -93,8 +93,9 @@ class GNLayerSpec:
       phi_v(vertex_attrs, aggregated_edge_attrs, g)  -> new vertex_attrs
       phi_g(g, edge_aggregate, vertex_aggregate)     -> new g
     A ``None`` update leaves the corresponding attributes unchanged. Reducers
-    are named ('sum', 'mean', 'min', 'max'), callables, or lists thereof
-    (outputs concatenated in list order).
+    are named ('sum', 'mean', 'min', 'max') or lists of names (outputs
+    concatenated in list order); ``rho_eg`` and ``rho_vg``, which run once
+    per layer, may also be callables on the whole attribute array.
     """
 
     phi_e: Callable | None = None
@@ -122,8 +123,9 @@ def aggregate_incoming(graph: AttributedGraph, edge_attrs: np.ndarray,
                        reducer: Reducer) -> np.ndarray:
     """Per-vertex reduction of the attributes of edges terminating there.
 
-    A list reducer concatenates each reduction's output in list order.
-    Vertices with no incoming edges aggregate to zero for every reducer.
+    ``reducer`` is a name ('sum', 'mean', 'min', 'max') or a list of names
+    whose outputs are concatenated in list order. Vertices with no incoming
+    edges aggregate to zero for every reducer.
     """
     edge_attrs = np.asarray(edge_attrs, dtype=np.float64)
     if edge_attrs.ndim == 1:
@@ -131,11 +133,6 @@ def aggregate_incoming(graph: AttributedGraph, edge_attrs: np.ndarray,
     splits = graph.incoming_splits()
     if isinstance(reducer, str):
         return _segment_reduce(edge_attrs, splits, reducer)
-    if callable(reducer):
-        return np.stack([
-            np.atleast_1d(reducer(edge_attrs[splits[k]:splits[k + 1]]))
-            for k in range(graph.num_vertices)
-        ])
     return np.concatenate(
         [aggregate_incoming(graph, edge_attrs, r) for r in reducer], axis=1)
 

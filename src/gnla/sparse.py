@@ -91,6 +91,10 @@ def from_coo(n: int, rows, cols, vals, sum_duplicates: bool = False) -> SparseMa
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
+    for name, idx in (("row", rows), ("column", cols)):
+        if len(idx) and (idx.min() < 0 or idx.max() >= n):
+            k = np.flatnonzero((idx < 0) | (idx >= n))[0]
+            raise MatrixFormatError(f"entry {k}: {name} index {idx[k]} out of range for n = {n}")
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     if len(rows):

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spd, tridiag
 from gnla.amg import (cf_split_greedy, direct_interpolation, soc_abs,
                       soc_classic, soc_sa, step, two_level_solve)
 from gnla.kernels import jacobi_reference
-from gnla.sparse import diag, from_dense, spmv_csr
+from gnla.sparse import diag, from_coo, from_dense, spmv_csr
 
 
 def five_point_laplace(m: int):
@@ -71,6 +73,10 @@ def test_soc_classic_positive_scaling_invariance():
 def test_soc_classic_no_negative_offdiag_raises():
     A = from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(ValueError):
+        soc_classic(A)
+    # a row holding only its diagonal entry has no off-diagonal at all
+    A = from_dense(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 3.0]]))
+    with pytest.raises(ValueError, match="row 2 has no negative off-diagonal"):
         soc_classic(A)
 
 
@@ -146,3 +152,103 @@ def test_two_level_monotone_residuals():
     A = tridiag(31)
     _, residuals = two_level_solve(A, np.ones(31), iters=8, collect_residuals=True)
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
+
+def test_two_level_solve_is_scale_free():
+    # det(A_coarse) of the scaled matrix underflows to 0; the matrix is still SPD
+    A, b = tridiag(63), np.ones(63)
+    x = two_level_solve(A, b, iters=30)
+    x_s, residuals = two_level_solve(tridiag(63, -1e-12, 2e-12, -1e-12), 1e-12 * b,
+                                     iters=30, collect_residuals=True)
+    assert residuals[-1] < 1e-8 * residuals[0]
+    assert np.allclose(x_s, x, rtol=1e-10, atol=0)
+
+
+# -- property tests of the layer kernels against dense per-row oracles ------
+
+SIGNED = st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0),        # ties and zeros
+                   st.floats(0.25, 4.0), st.floats(-4.0, -0.25))
+WEIGHT = st.one_of(st.just(0.0), st.integers(1, 8).map(lambda k: k / 4.0),
+                   st.floats(0.25, 4.0))
+
+
+@st.composite
+def general_matrices(draw):
+    """Random patterns and signs: empty rows, rows holding only a diagonal
+    entry, positive off-diagonals, stored zeros and n = 1 all occur."""
+    n = draw(st.integers(1, 7))
+    stored = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    values = np.array(draw(st.lists(SIGNED, min_size=n * n, max_size=n * n)))
+    rows, cols = np.nonzero(stored.reshape(n, n))
+    return from_coo(n, rows, cols, values.reshape(n, n)[rows, cols])
+
+
+@st.composite
+def m_matrices(draw):
+    """Diagonally dominant M-matrices with every diagonal stored, and a random
+    strength pattern on the same sparsity pattern."""
+    n = draw(st.integers(1, 7))
+    off = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(off, False)
+    weights = np.array(draw(st.lists(WEIGHT, min_size=n * n, max_size=n * n))).reshape(n, n)
+    strong = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    extra = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    dense = np.where(off, -weights, 0.0)
+    np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + extra)
+    rows, cols = np.nonzero(off | np.eye(n, dtype=bool))
+    A = from_coo(n, rows, cols, dense[rows, cols])
+    S = from_coo(n, rows, cols, strong[rows, cols].astype(float))
+    return A, S
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_matrices(), st.sampled_from([0.25, 0.5, 1.0]))
+def test_soc_layers_match_row_oracles(A, tau):
+    want_abs, want_classic, undefined = [], [], []
+    for i in range(A.n):
+        cols, vals = A.row(i)
+        off_vals = vals[cols != i]
+        m_abs = max(np.abs(off_vals), default=0.0)
+        m_neg = max(-off_vals, default=-np.inf)
+        want_abs += [float(j != i and abs(a) >= tau * m_abs) for j, a in zip(cols, vals)]
+        if m_neg > 0:
+            want_classic += [float(-a / m_neg - tau > 0) for a in vals]
+        else:
+            undefined.append(i)
+    S = soc_abs(A, tau)
+    assert np.array_equal(S.row_ptr, A.row_ptr) and np.array_equal(S.col_idx, A.col_idx)
+    assert np.array_equal(S.values, want_abs)
+    if undefined:
+        with pytest.raises(ValueError, match=f"row {undefined[0]} has no negative"):
+            soc_classic(A, tau)
+    else:
+        S = soc_classic(A, tau)
+        assert np.array_equal(S.col_idx, A.col_idx)
+        assert np.array_equal(S.values, want_classic)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m_matrices())
+def test_direct_interpolation_matches_row_oracle(case):
+    A, S = case
+    cf = cf_split_greedy(S)
+    coarse = cf.labels == "C"
+    strong = S.to_dense() != 0
+    want = np.zeros((A.n, cf.num_coarse))
+    for i in range(A.n):
+        cols, vals = A.row(i)
+        if coarse[i]:
+            want[i, cf.coarse_index[i]] = 1.0
+            continue
+        nbrs = [(j, a) for j, a in zip(cols, vals) if j != i]
+        num = sum(a for _, a in nbrs)
+        den = vals[cols == i][0] * sum(a for j, a in nbrs if coarse[j] and strong[i, j])
+        if den == 0:
+            with pytest.raises(ValueError, match=f"F row {i} has no usable strong"):
+                direct_interpolation(A, S, cf)
+            return
+        for j, a in nbrs:
+            if coarse[j]:
+                want[i, cf.coarse_index[j]] = -a * (num / den)
+    _, P = direct_interpolation(A, S, cf)
+    np.testing.assert_allclose(P, want, rtol=1e-14, atol=0)

@@ -211,6 +211,18 @@ def test_train_m_beyond_high_modes_is_usage_error(tmp_path, capsys, N_y, n_high)
     assert "cannot read dataset manifest" in capsys.readouterr().err
 
 
+def test_train_dataset_N_y_must_match_config(tmp_path, capsys):
+    data = tmp_path / "data"
+    cfg = run_config(tmp_path, dataset={"kind": "jacobi", "N_y": 6, "counts": [3, 2, 2]})
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    # m = 20 fits the config's N_y = 8 (27 high modes), not the data's N_y = 6 (12)
+    cfg = run_config(tmp_path, train={"m": 20})
+    assert main(["train", "jacobi", "--config", cfg, "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert (f"dataset at {data} has N_y = 6, but the config's dataset.N_y is 8"
+            in capsys.readouterr().err)
+
+
 def test_config_not_an_object_is_usage_error(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text("[1, 2]")

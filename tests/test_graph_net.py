@@ -49,10 +49,8 @@ def test_named_reducers_and_empty_blocks(reducer, expected):
     assert np.array_equal(out[:, 0], expected)
 
 
-def test_callable_and_list_reducers():
+def test_list_reducers_concatenate():
     g = small_graph()
-    out = aggregate_incoming(g, g.edge_attrs, lambda block: block.sum())
-    assert np.array_equal(out[:, 0], [13.0, 0.0, 5.0])
     both = aggregate_incoming(g, g.edge_attrs, ["min", "max"])
     assert both.shape == (3, 2)
     assert np.array_equal(both[0], [6.0, 7.0])

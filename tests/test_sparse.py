@@ -33,6 +33,16 @@ def test_from_coo_rejects_duplicates_by_default():
         from_coo(2, [0, 0], [1, 1], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("rows, cols, message", [
+    ([0, 3], [0, 1], "entry 1: row index 3 out of range for n = 3"),
+    ([0, -1], [0, 1], "entry 1: row index -1 out of range for n = 3"),
+    ([0, 1], [0, -1], "entry 1: column index -1 out of range for n = 3"),
+], ids=["row_n", "row_minus_1", "column_minus_1"])
+def test_from_coo_rejects_out_of_range_indices(rows, cols, message):
+    with pytest.raises(MatrixFormatError, match=re.escape(message)):
+        from_coo(3, rows, cols, [1.0, 2.0])
+
+
 @st.composite
 def coo_triplets(draw):
     """n and unordered (row, col, value) triplets, positions possibly repeated."""
