@@ -14,7 +14,7 @@ from . import amg, kernels, nn, train as tr
 from .fem import (DiffusionDataConfig, JacobiDataConfig, diffusion_instance,
                   gen_diffusion_dataset, gen_jacobi_dataset, jacobi_instance,
                   read_instance, write_instance)
-from .sparse import (SparseMatrixCSR, atomic_write, dense_vector, diag, from_coo,
+from .sparse import (SparseMatrixCSR, atomic_write, dense_vector, from_coo,
                      read_matrix_market, spectrum_bounds)
 
 CONFIG_VERSION = 1
@@ -124,6 +124,8 @@ def load_dataset(data_dir: str, splits: tuple[str, ...]) -> tuple[str, dict]:
 # -- kernel subcommand --------------------------------------------------------
 
 def _demo_tridiag(n: int) -> SparseMatrixCSR:
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
     i = np.arange(n)
     rows = np.concatenate([i, i[:-1], i[1:]])
     cols = np.concatenate([i, i[1:], i[:-1]])
@@ -131,8 +133,16 @@ def _demo_tridiag(n: int) -> SparseMatrixCSR:
     return from_coo(n, rows, cols, vals)
 
 
+def _check_iters(iters: int) -> None:
+    if iters < 0:
+        raise UsageError(f"--iters must be >= 0, got {iters}")
+
+
 def cmd_kernel(args) -> int:
+    _check_iters(args.iters)
     A = read_matrix_market(args.matrix) if args.matrix else _demo_tridiag(args.n)
+    if A.n == 0:
+        raise ValueError(f"{args.matrix}: the matrix is empty (n = 0)")
     if args.vector:
         x = np.loadtxt(args.vector, delimiter=",", ndmin=1)
     else:
@@ -249,13 +259,16 @@ def cmd_eval(args) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     if args.experiment == "jacobi":
+        if args.k < 1:
+            raise UsageError(f"--k must be >= 1, got {args.k}")
+        if args.omega is not None and not np.isfinite(args.omega):
+            raise UsageError(f"--omega must be finite, got {args.omega}")
         kind, datasets = load_dataset(args.data, ("test",))
         if kind != "jacobi":
             raise UsageError(f"dataset at {args.data} is '{kind}'")
         test = datasets["test"]
         if args.omega is not None:
-            # trivial baseline model: d_i = omega / A_ii stands in for "learned"
-            store = lambda A: args.omega / diag(A)
+            store = args.omega      # the constant diagonal omega / A_ii stands in for "learned"
         elif store is None:
             raise UsageError("eval jacobi needs --checkpoint or --omega")
         elif store.model.param_count != nn.jacobi_model_spec().param_count:
@@ -291,6 +304,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_demo_amg(args) -> int:
+    _check_iters(args.iters)
     A = _demo_tridiag(args.n)
     b = np.ones(A.n)
     x, residuals = amg.two_level_solve(A, b, iters=args.iters, collect_residuals=True)

@@ -193,8 +193,8 @@ def gnn_power_method(A: SparseMatrixCSR, b0, iters: int) -> tuple[np.ndarray, fl
     Vertex attrs are [b_i, y_i]; globals are [h1, h2, lam].
     """
     b0 = dense_vector(b0)
-    if not np.any(b0):
-        raise ValueError("b0 must be nonzero")
+    if not np.sum(b0 * b0) > 0:     # zero, or its squares underflow
+        raise ValueError("b0 must have a nonzero norm")
     graph = matrix_to_graph(A, self_edges=True,
                             vertex_attrs=np.column_stack([b0, np.zeros_like(b0)]),
                             global_attrs=np.zeros(3))

@@ -113,15 +113,12 @@ def from_coo(n: int, rows, cols, vals, sum_duplicates: bool = False) -> SparseMa
     return SparseMatrixCSR(n, row_ptr, cols, vals)
 
 
-def from_dense(dense, keep_zeros: bool = False) -> SparseMatrixCSR:
+def from_dense(dense) -> SparseMatrixCSR:
+    """The nonzero entries of a square dense matrix."""
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise MatrixFormatError("dense input must be square")
-    if keep_zeros:
-        rows, cols = np.indices(dense.shape)
-        rows, cols = rows.ravel(), cols.ravel()
-    else:
-        rows, cols = np.nonzero(dense)
+    rows, cols = np.nonzero(dense)
     return from_coo(dense.shape[0], rows, cols, dense[rows, cols])
 
 

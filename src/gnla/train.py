@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,36 +160,23 @@ def omega_co(A: SparseMatrixCSR) -> float:
     return 2.0 / (lam_min + lam_max)
 
 
-@dataclass
-class EigEstimate:
-    values: np.ndarray      # sorted by descending magnitude
-
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-def projected_iteration_matrix(d: np.ndarray, AV: np.ndarray,
-                               V_hf: np.ndarray) -> np.ndarray:
-    """I - V_hf^T diag(d) A V_hf, given AV = A V_hf: the error propagator seen
-    by the high modes."""
-    return np.eye(V_hf.shape[1]) - V_hf.T @ (d[:, None] * AV)
+def _top_k(w: np.ndarray, k: int) -> np.ndarray:
+    """The k largest-magnitude eigenvalues among w; a complex one is reported
+    by its magnitude."""
+    w = w[np.argsort(-np.abs(w), kind="stable")[:k]]
+    return np.where(np.abs(w.imag) <= 1e-8 * np.maximum(1.0, np.abs(w)), w.real, np.abs(w))
 
 
 def eval_jacobi(d: np.ndarray, AV: np.ndarray, V_hf: np.ndarray,
-                k: int = 10) -> EigEstimate:
-    """Top-k largest-magnitude eigenvalues of the projected error propagator,
-    given AV = A V_hf.
+                k: int = 10) -> np.ndarray:
+    """Top-k largest-magnitude eigenvalues of I - V_hf^T diag(d) A V_hf, the
+    error propagator seen by the high modes, given AV = A V_hf.
 
     The propagator is not symmetric, so all its eigenvalues come from one
-    dense eigensolve; a complex value is reported by its magnitude.
+    dense eigensolve.
     """
-    T = projected_iteration_matrix(np.asarray(d, dtype=np.float64), AV, V_hf)
-    w = np.linalg.eigvals(T)
-    order = np.argsort(-np.abs(w), kind="stable")[:k]
-    vals = np.where(np.abs(w[order].imag) <= 1e-8 * np.maximum(1.0, np.abs(w[order])),
-                    w[order].real, np.abs(w[order]))
-    return EigEstimate(np.asarray(vals, dtype=np.float64))
+    d = np.asarray(d, dtype=np.float64)
+    return _top_k(np.linalg.eigvals(np.eye(V_hf.shape[1]) - V_hf.T @ (d[:, None] * AV)), k)
 
 
 @dataclass
@@ -207,37 +193,36 @@ class EvalReport:
 BASELINES = ("omega_1", "omega_2_3", "omega_co")
 
 
-def method_diagonal(method: str, A: SparseMatrixCSR) -> np.ndarray:
-    """Relaxation diagonal omega / A_ii of one of the BASELINES."""
-    omega = {"omega_1": 1.0, "omega_2_3": 2.0 / 3.0}.get(method)
-    if omega is None:
-        if method != "omega_co":
-            raise ValueError(f"unknown method '{method}'")
-        omega = omega_co(A)
-    return omega / diag(A)
-
-
-def compare_methods(test_set: list[ProblemInstance],
-                    store: nn.ParamStore | Callable[[SparseMatrixCSR], np.ndarray],
+def compare_methods(test_set: list[ProblemInstance], learned: nn.ParamStore | float,
                     k: int = 10) -> EvalReport:
     """Spectral comparison of the "learned" diagonal against the BASELINES.
 
-    ``store`` is the model's ParamStore, or a rule A -> d that stands in for
-    the model (e.g. a constant-omega diagonal).
+    ``learned`` is the model's ParamStore, or a float omega whose constant
+    diagonal omega / A_ii stands in for the model. A constant diagonal gives
+    the propagator I - omega M with M = V_hf^T D^{-1} A V_hf, so one spectrum
+    of M serves every constant-omega method; only a model needs its own solve.
     """
-    learned = store if callable(store) else (lambda A: nn.jacobi_model_forward(A, store))
-    report = EvalReport(max_eigs={m: [] for m in ("learned",) + BASELINES})
+    methods = ("learned",) + BASELINES
+    report = EvalReport(max_eigs={m: [] for m in methods})
     for inst in test_set:
         mid = inst.meta.get("index", 0)
         _, V_hf = sine_mode_basis(inst.coords, inst.meta["N_y"] - 2)
-        AV = spmm_csr(inst.A, V_hf)        # shared by every method
+        AV = spmm_csr(inst.A, V_hf)
+        # omega_co checks that diag(A) > 0 before M divides by it
+        omegas = {"omega_1": 1.0, "omega_2_3": 2.0 / 3.0, "omega_co": omega_co(inst.A)}
+        top = {}
+        if isinstance(learned, nn.ParamStore):
+            d = nn.jacobi_model_forward(inst.A, learned)
+            top["learned"] = eval_jacobi(d, AV, V_hf, k)
+        else:
+            omegas["learned"] = learned
+        mu = np.linalg.eigvals(V_hf.T @ (AV / diag(inst.A)[:, None]))
+        top.update({m: _top_k(1.0 - omega * mu, k) for m, omega in omegas.items()})
         radii = {}
-        for method in ("learned",) + BASELINES:
-            d = learned(inst.A) if method == "learned" else method_diagonal(method, inst.A)
-            est = eval_jacobi(d, AV, V_hf, k=k)
-            radii[method] = est.spectral_radius
-            report.max_eigs[method].append(est.spectral_radius)
-            for rank, val in enumerate(est.values):
+        for method in methods:
+            radii[method] = float(np.max(np.abs(top[method])))
+            report.max_eigs[method].append(radii[method])
+            for rank, val in enumerate(top[method]):
                 report.eig_rows.append((mid, method, rank, float(val)))
         winner = min(radii, key=radii.get)
         report.winner_rows.append(

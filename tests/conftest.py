@@ -14,7 +14,7 @@ def random_spd(rng: np.random.Generator, n: int, density: float = 0.1) -> Sparse
     vals = rng.standard_normal((n, n))
     dense[mask] = ((vals + vals.T) / 2)[mask]
     np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + rng.uniform(0.5, 2.0, n))
-    return from_dense(dense, keep_zeros=False)
+    return from_dense(dense)
 
 
 def tridiag(n: int, lo: float = -1.0, mid: float = 2.0, hi: float = -1.0) -> SparseMatrixCSR:

@@ -82,6 +82,28 @@ def test_kernel_integer_matrix_accepted(tmp_path):
     assert main(["kernel", "spmv", "--matrix", str(mtx)]) == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "spmv", "--n", "0"], "--n must be >= 1, got 0"),
+    (["kernel", "jacobi", "--n", "-3"], "--n must be >= 1, got -3"),
+    (["demo-amg", "--n", "0"], "--n must be >= 1, got 0"),
+    (["kernel", "jacobi", "--iters", "-1"], "--iters must be >= 0, got -1"),
+    (["kernel", "power", "--iters", "-2"], "--iters must be >= 0, got -2"),
+    (["demo-amg", "--iters", "-1"], "--iters must be >= 0, got -1"),
+])
+def test_kernel_and_demo_amg_bad_counts_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["spmv", "norm", "jacobi", "chebyshev",
+                                  "power", "soc-classic", "soc-sa"])
+def test_kernel_empty_matrix_file_is_named(tmp_path, capsys, name):
+    mtx = tmp_path / "empty.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+    assert main(["kernel", name, "--matrix", str(mtx)]) == 1
+    assert f"{mtx}: the matrix is empty (n = 0)" in capsys.readouterr().err
+
+
 def test_threads_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "kernel", "spmv"])
@@ -292,6 +314,22 @@ def test_eval_jacobi_needs_checkpoint_or_omega(tmp_path):
     assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
     assert main(["eval", "jacobi", "--data", str(data),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--omega", "0.6667", "--k", "-1"], "--k must be >= 1, got -1"),
+    (["--omega", "0.6667", "--k", "0"], "--k must be >= 1, got 0"),
+    (["--omega", "nan"], "--omega must be finite, got nan"),
+    (["--omega", "inf"], "--omega must be finite, got inf"),
+])
+def test_eval_jacobi_bad_k_or_omega_is_usage_error(tmp_path, capsys, flags, message):
+    cfg = run_config(tmp_path)
+    data = tmp_path / "data"
+    out = tmp_path / "o"
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    assert main(["eval", "jacobi", "--data", str(data), "--out", str(out)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "eig_report.csv").exists()
 
 
 def test_train_experiment_kind_mismatch(tmp_path):

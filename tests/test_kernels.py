@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spd, tridiag
 from gnla.kernels import (chebyshev_reference, gnn_chebyshev, gnn_jacobi,
                           gnn_power_method, gnn_spmv, gnn_weighted_norm,
                           jacobi_reference, power_method_reference,
                           weighted_norm_reference)
-from gnla.sparse import from_dense, identity, spmv_csr
+from gnla.sparse import diag, from_coo, from_dense, identity, spmv_csr
 
 
 def test_spmv_identity():
@@ -118,3 +120,113 @@ def test_power_method_matches_reference_bitwise():
 def test_power_method_zero_start_raises():
     with pytest.raises(ValueError):
         gnn_power_method(identity(3), np.zeros(3), 5)
+
+
+# -- properties on random patterns: n = 0, n = 1 and empty rows ---------------
+
+@st.composite
+def systems(draw):
+    """A random n x n pattern (n <= 6, any row may be empty) and two vectors."""
+    n = draw(st.integers(0, 6))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
+                    dtype=bool).reshape(n, n)
+    rows, cols = np.nonzero(mask)
+    value = st.floats(-10, 10)
+    vals = draw(st.lists(value, min_size=len(rows), max_size=len(rows)))
+    x, y = (np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=float)
+            for _ in range(2))
+    return from_coo(n, rows, cols, vals), x, y
+
+
+EMPTY = (from_coo(0, [], [], []), np.zeros(0), np.zeros(0))
+ONE = (from_dense([[2.0]]), np.array([1.5]), np.array([-1.0]))
+EMPTY_ROW = (from_dense([[2.0, -1.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 3.0]]),
+             np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, -0.5]))
+
+
+def _close(got, want, scale=1.0):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, scale))
+
+
+def _scale(A, x) -> float:
+    """Largest |A| |x| entry: the size of the sums a product rounds."""
+    return float(np.max(np.abs(A.to_dense()) @ np.abs(x), initial=0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.booleans())
+@example(EMPTY, True)
+@example(EMPTY, False)
+@example(ONE, False)
+@example(EMPTY_ROW, False)
+def test_spmv_property(system, self_edges):
+    A, x, _ = system
+    _close(gnn_spmv(A, x, self_edges=self_edges), A.to_dense() @ x, _scale(A, x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+@example(EMPTY)
+@example(ONE)
+@example(EMPTY_ROW)
+def test_weighted_norm_property(system):
+    W, x, _ = system
+    scale = float(np.abs(x) @ (np.abs(W.to_dense()) @ np.abs(x))) if W.n else 0.0
+    quad = float(x @ spmv_csr(W, x))
+    try:
+        got = gnn_weighted_norm(W, x)
+    except ValueError as exc:
+        assert "quadratic form is negative" in str(exc)
+        assert quad < 1e-12 * max(1.0, scale)
+        return
+    assert quad > -1e-12 * max(1.0, scale)
+    # compare squares: the square root magnifies rounding near zero
+    _close(got ** 2, max(quad, 0.0), scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.floats(0.1, 1.5), st.integers(0, 5))
+@example(EMPTY, 0.5, 3)
+@example(ONE, 0.5, 3)
+@example(EMPTY_ROW, 0.5, 3)
+@example((from_dense([[2.2250738585e-311]]), np.zeros(1), np.zeros(1)), 1.0, 1)
+def test_jacobi_property(system, omega, iters):
+    A, b, x0 = system
+    if np.any(diag(A) == 0):
+        with pytest.raises(ValueError, match="zero diagonal in row"):
+            gnn_jacobi(A, b, x0, omega, iters)
+        if iters:     # the reference divides by the zero instead
+            with np.errstate(all="ignore"):
+                assert not np.all(np.isfinite(jacobi_reference(A, b, x0, omega, iters)))
+        return
+    with np.errstate(all="ignore"):
+        want = jacobi_reference(A, b, x0, omega, iters)
+        if np.all(np.isfinite(want)):
+            _close(gnn_jacobi(A, b, x0, omega, iters), want)
+        else:   # e.g. omega / d overflows on a subnormal diagonal: the executor says so
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                gnn_jacobi(A, b, x0, omega, iters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.integers(0, 5))
+@example(EMPTY, 3)
+@example(ONE, 3)
+@example(EMPTY_ROW, 3)
+@example(EMPTY_ROW, 0)
+@example((ONE[0], np.array([5e-324]), ONE[2]), 0)     # b0's squares underflow
+def test_power_method_property(system, iters):
+    A, b0, _ = system
+    if not np.sum(b0 * b0) > 0:
+        with pytest.raises(ValueError, match="b0 must have a nonzero norm"):
+            gnn_power_method(A, b0, iters)
+        return
+    try:
+        want_v, want_lam = power_method_reference(A, b0, iters)
+    except ValueError:
+        with pytest.raises(ValueError, match="null space"):
+            gnn_power_method(A, b0, iters)
+        return
+    got_v, got_lam = gnn_power_method(A, b0, iters)
+    _close(got_v, want_v)
+    _close(got_lam, want_lam, _scale(A, np.abs(want_v)))

@@ -1,5 +1,6 @@
 """Losses, baselines, spectral evaluation, training loops, CSV emission."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -13,7 +14,7 @@ from gnla.fem import (DiffusionDataConfig, JacobiDataConfig,
                       assemble_diffusion_periodic, diffusion_graph, dst_basis,
                       gen_diffusion_dataset, gen_jacobi_dataset,
                       jacobi_instance, sine_mode_basis)
-from gnla.sparse import diag, from_dense, identity
+from gnla.sparse import SparseMatrixCSR, diag, from_dense, identity, spmm_csr
 
 
 def small_jacobi_data():
@@ -80,21 +81,11 @@ def test_omega_co_matches_dense_spectrum_of_band_matrix():
     assert tr.omega_co(A) == pytest.approx(2.0 / (lam.min() + lam.max()), rel=1e-12)
 
 
-def test_projected_iteration_matrix_identity_case():
+def test_eval_jacobi_identity_case():
     V, _ = dst_basis(4)
     omega = 0.3
-    T = tr.projected_iteration_matrix(omega * np.ones(16), V, V)    # A = I: AV = V
-    assert np.allclose(T, (1 - omega) * np.eye(V.shape[1]), atol=1e-12)
-    est = tr.eval_jacobi(omega * np.ones(16), V, V, k=3)
-    assert np.allclose(est.values, [1 - omega] * 3, atol=1e-12)
-
-
-def test_method_diagonal():
-    A = tridiag(6)
-    assert np.allclose(tr.method_diagonal("omega_1", A), 1.0 / diag(A))
-    assert np.allclose(tr.method_diagonal("omega_2_3", A), 2.0 / 3.0 / diag(A))
-    with pytest.raises(ValueError):
-        tr.method_diagonal("omega_x", A)
+    vals = tr.eval_jacobi(omega * np.ones(16), V, V, k=3)    # A = I: AV = V
+    assert np.allclose(vals, [1 - omega] * 3, atol=1e-12)
 
 
 def test_train_jacobi_deterministic_and_early_stop():
@@ -116,13 +107,58 @@ def test_train_jacobi_deterministic_and_early_stop():
 
 
 def test_compare_methods_trivial_model_subsumes_baseline():
-    # a rule predicting exactly omega/A_ii must tie the baseline rows
+    # a constant omega = 1 stands in for the model and must tie the omega_1 rows
     data = small_jacobi_data()
-    report = tr.compare_methods(data["test"], lambda A: 1.0 / diag(A), k=5)
+    report = tr.compare_methods(data["test"], 1.0, k=5)
     learned = {(m, k): v for m, meth, k, v in report.eig_rows if meth == "learned"}
     base = {(m, k): v for m, meth, k, v in report.eig_rows if meth == "omega_1"}
     assert learned == base
     assert report.fractions["omega_1"] == 0.0  # ties are not wins
+
+
+def test_compare_methods_baselines_match_their_own_propagators():
+    # desk instances 80 and 81 have complex eigenvalues in M = V^T D^{-1} A V;
+    # the shared spectrum must report them as the separate propagators do
+    cfg = JacobiDataConfig()
+    test = [jacobi_instance(cfg, idx) for idx in (80, 81, 82)]
+    k = 60
+    report = tr.compare_methods(test, 0.5, k=k)
+    rows = {}
+    for mid, method, rank, val in report.eig_rows:
+        rows.setdefault((mid, method), []).append(val)
+    saw_complex = False
+    for inst in test:
+        _, V = sine_mode_basis(inst.coords, inst.meta["N_y"] - 2)
+        AV = spmm_csr(inst.A, V)
+        mu = np.linalg.eigvals(V.T @ (AV / diag(inst.A)[:, None]))
+        saw_complex |= bool(np.any(mu.imag != 0))
+        for method, omega in (("learned", 0.5), ("omega_1", 1.0),
+                              ("omega_2_3", 2.0 / 3.0), ("omega_co", tr.omega_co(inst.A))):
+            want = tr.eval_jacobi(omega / diag(inst.A), AV, V, k)
+            assert np.allclose(rows[(inst.meta["index"], method)], want,
+                               rtol=0, atol=1e-12), method
+    assert saw_complex
+
+
+@pytest.mark.parametrize("with_model, per_matrix", [(True, 2), (False, 1)])
+def test_compare_methods_eigensolves_per_matrix(monkeypatch, with_model, per_matrix):
+    data = small_jacobi_data()
+    learned = (nn.init_glorot(nn.jacobi_model_spec(), np.random.default_rng(0))
+               if with_model else 0.6667)
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+    tr.compare_methods(data["test"], learned, k=3)
+    assert len(calls) == per_matrix * len(data["test"])
+
+
+def test_compare_methods_names_a_non_positive_diagonal():
+    inst = jacobi_instance(JacobiDataConfig(N_y=8), 0)
+    A = inst.A
+    values = np.where(A.row_of_entry() == A.col_idx, 0.0, A.values)
+    bad = dataclasses.replace(inst, A=SparseMatrixCSR(A.n, A.row_ptr, A.col_idx, values))
+    with pytest.raises(ValueError, match="omega_co requires a positive diagonal"):
+        tr.compare_methods([bad], 0.5, k=3)
 
 
 def test_diffusion_loss_values():
