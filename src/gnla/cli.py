@@ -133,13 +133,19 @@ def _demo_tridiag(n: int) -> SparseMatrixCSR:
     return from_coo(n, rows, cols, vals)
 
 
-def _check_iters(iters: int) -> None:
-    if iters < 0:
-        raise UsageError(f"--iters must be >= 0, got {iters}")
+def _check_iters_and_tol(args) -> None:
+    if args.iters < 0:
+        raise UsageError(f"--iters must be >= 0, got {args.iters}")
+    if not args.tol > 0:
+        raise UsageError(f"--tol must be > 0, got {args.tol}")
 
 
 def cmd_kernel(args) -> int:
-    _check_iters(args.iters)
+    _check_iters_and_tol(args)
+    if not 0 < args.tau <= 1:
+        raise UsageError(f"--tau must lie in (0, 1], got {args.tau}")
+    if not np.isfinite(args.omega):
+        raise UsageError(f"--omega must be finite, got {args.omega}")
     A = read_matrix_market(args.matrix) if args.matrix else _demo_tridiag(args.n)
     if A.n == 0:
         raise ValueError(f"{args.matrix}: the matrix is empty (n = 0)")
@@ -304,7 +310,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_demo_amg(args) -> int:
-    _check_iters(args.iters)
+    _check_iters_and_tol(args)
     A = _demo_tridiag(args.n)
     b = np.ones(A.n)
     x, residuals = amg.two_level_solve(A, b, iters=args.iters, collect_residuals=True)

@@ -14,24 +14,26 @@ from .sparse import (SparseMatrixCSR, atomic_write, from_coo, read_matrix_market
 
 FLOAT_FMT = "%.17g"
 
-# reference bilinear element on [-1,1]^2, corners counterclockwise
-_REF_CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+# corners of the reference bilinear element [-1,1]^2, counterclockwise from (-1,-1)
+_CX, _CY = np.array([-1.0, 1.0, 1.0, -1.0]), np.array([-1.0, -1.0, 1.0, 1.0])
 _GAUSS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+_GAUSS_XI, _GAUSS_ETA = np.repeat(_GAUSS, 2), np.tile(_GAUSS, 2)   # 2x2 points, xi-major
+# (dN/dxi, dN/deta) of the bilinear shape functions there: (4 points, 4 nodes, 2)
+_DN = 0.25 * np.stack([_CX * (1.0 + np.outer(_GAUSS_ETA, _CY)),
+                       _CY * (1.0 + np.outer(_GAUSS_XI, _CX))], axis=-1)
 
 
 @dataclass(frozen=True)
 class QuadMesh:
     """Quadrilateral mesh on the unit square.
 
-    ``elements`` rows list 4 vertex ids counterclockwise; ``boundary`` flags
-    Dirichlet vertices. ``band`` optionally records (band_x, beta) for meshes
-    with a refined vertical band.
+    ``elements`` rows list 4 vertex ids counterclockwise from the lower left;
+    ``boundary`` flags Dirichlet vertices.
     """
 
     coords: np.ndarray        # (Nv, 2)
     elements: np.ndarray      # (Ne, 4)
     boundary: np.ndarray      # (Nv,) bool
-    band: tuple[float, float] | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -58,24 +60,30 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
 
 
-def _shape_gradients(xi: float, eta: float) -> np.ndarray:
-    """(4, 2) array of (dN/dxi, dN/deta) for the bilinear shape functions."""
-    cx, cy = _REF_CORNERS[:, 0], _REF_CORNERS[:, 1]
-    return 0.25 * np.column_stack([cx * (1.0 + cy * eta), cy * (1.0 + cx * xi)])
+def element_stiffness(corners, a=1.0, b=1.0) -> np.ndarray:
+    """(..., 4, 4) stiffness of bilinear rectangles for -d/dx(a du/dx) - d/dy(b du/dy).
 
-
-def element_stiffness(coords4: np.ndarray) -> np.ndarray:
-    """4x4 stiffness of one bilinear quad for -Laplace, by 2x2 Gauss quadrature."""
-    K = np.zeros((4, 4))
-    for xi in _GAUSS:
-        for eta in _GAUSS:
-            dN = _shape_gradients(xi, eta)
-            J = coords4.T @ dN            # J[a,b] = dx_a / dxi_b
-            det = np.linalg.det(J)
-            if det <= 0:
-                raise ValueError("degenerate element (non-positive Jacobian)")
-            G = dN @ np.linalg.inv(J)     # physical gradients, (4, 2)
-            K += det * (G @ G.T)
+    ``corners`` is (..., 4, 2): axis-aligned rectangles listed counterclockwise
+    from the lower left. ``a`` and ``b`` are constants or (..., 4) values at the
+    2x2 Gauss points, xi-major. On a w-by-h rectangle the Jacobian is
+    diag(w, h) / 2, so the physical gradients are dN * (2 / (w, h)) and
+    det = w h / 4; the 2x2 rule is exact for constant a and b.
+    """
+    corners = np.asarray(corners, dtype=np.float64)
+    x, y = corners[..., 0], corners[..., 1]
+    size = np.stack([x[..., 1] - x[..., 0], y[..., 3] - y[..., 0]], axis=-1)
+    if not (np.all((size > 0) & (size < np.inf)) and np.array_equal(x, x[..., [0, 1, 1, 0]])
+            and np.array_equal(y, y[..., [0, 0, 3, 3]])):
+        raise ValueError("element is not an axis-aligned rectangle listed "
+                         "counterclockwise from the lower left")
+    det = (size[..., 0] * size[..., 1] / 4.0)[..., None, None]
+    G = _DN * (2.0 / size)[..., None, None, :]     # (..., point, node, 2)
+    a, b = (c * np.ones(len(_DN)) for c in (a, b))    # (..., 4) Gauss-point values
+    K = 0.0      # point by point in this order: assembled bits depend on it
+    for q in range(len(_DN)):
+        gx, gy = G[..., q, :, 0], G[..., q, :, 1]
+        K = K + det * (a[..., q, None, None] * (gx[..., :, None] * gx[..., None, :])
+                       + b[..., q, None, None] * (gy[..., :, None] * gy[..., None, :]))
     return K
 
 
@@ -115,15 +123,12 @@ def build_band_mesh(N_y: int, beta: float, band_col: int) -> QuadMesh:
     ncols = N_y + 2
     X, Y = np.meshgrid(xs, ys)           # row r, column c -> vertex r*ncols + c
     coords = np.column_stack([X.ravel(), Y.ravel()])
-    elems = []
-    for r in range(N_y - 1):
-        for c in range(ncols - 1):
-            v = r * ncols + c
-            elems.append([v, v + 1, v + 1 + ncols, v + ncols])
+    v = (np.arange(N_y - 1)[:, None] * ncols + np.arange(ncols - 1)).ravel()
+    elems = np.column_stack([v, v + 1, v + 1 + ncols, v + ncols])
     boundary = np.zeros(len(coords), dtype=bool)
     rr, cc = np.divmod(np.arange(len(coords)), ncols)
     boundary[(rr == 0) | (rr == N_y - 1) | (cc == 0) | (cc == ncols - 1)] = True
-    return QuadMesh(coords, np.array(elems), boundary, band=(band_x, beta))
+    return QuadMesh(coords, elems, boundary)
 
 
 def assemble_laplace_dirichlet(mesh: QuadMesh) -> SparseMatrixCSR:
@@ -131,14 +136,8 @@ def assemble_laplace_dirichlet(mesh: QuadMesh) -> SparseMatrixCSR:
     dof = np.full(mesh.num_vertices, -1, dtype=np.int64)
     interior = mesh.interior()
     dof[interior] = np.arange(len(interior))
-    # the stiffness depends only on the element shape: compute it once per
-    # shape, keyed by the rounded corners relative to the first (-0.0 -> +0.0)
-    corners = mesh.coords[mesh.elements]
-    key = np.round(corners - corners[:, :1], 12).reshape(len(corners), 8) + 0.0
-    _, first, shape_of = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    K = np.stack([element_stiffness(corners[e]) for e in first])
-    shape_of = shape_of.reshape(-1)      # NumPy 2.0.0 returns it as a column
-    return _scatter(len(interior), dof[mesh.elements], K[shape_of])
+    K = element_stiffness(mesh.coords[mesh.elements])
+    return _scatter(len(interior), dof[mesh.elements], K)
 
 
 # -- periodic diffusion problem ----------------------------------------------
@@ -165,22 +164,14 @@ def assemble_diffusion_periodic(N: int, theta_ax: int = 0, theta_ay: int = 0,
         beta = lambda x, y: np.cos(theta_bx * np.pi * x) ** 2 * np.cos(theta_by * np.pi * y) ** 2
     ix, iy = np.meshgrid(np.arange(N), np.arange(N))
     coords = np.column_stack([(ix.ravel() * h), (iy.ravel() * h)])
-    # all elements are h-by-h squares; only the connectivity wraps, so the
-    # per-element stiffness is assembled vectorized over elements
+    # all elements are h-by-h squares; only the connectivity wraps
     c, r = ix.ravel(), iy.ravel()
     vid = lambda rr, cc: (rr % N) * N + (cc % N)
     conn = np.column_stack([vid(r, c), vid(r, c + 1), vid(r + 1, c + 1), vid(r + 1, c)])
-    det = h * h / 4.0
-    K_all = np.zeros((N * N, 4, 4))
-    for xi in _GAUSS:
-        for eta in _GAUSS:
-            G = _shape_gradients(xi, eta) * (2.0 / h)   # physical gradients
-            gx = (c + (1.0 + xi) / 2.0) * h
-            gy = (r + (1.0 + eta) / 2.0) * h
-            a_vals = np.broadcast_to(np.asarray(alpha(gx, gy), dtype=np.float64), c.shape)
-            b_vals = np.broadcast_to(np.asarray(beta(gx, gy), dtype=np.float64), c.shape)
-            K_all += det * (a_vals[:, None, None] * np.outer(G[:, 0], G[:, 0])
-                            + b_vals[:, None, None] * np.outer(G[:, 1], G[:, 1]))
+    gx = (c[:, None] + (1.0 + _GAUSS_XI) / 2.0) * h      # (N^2, 4) Gauss points
+    gy = (r[:, None] + (1.0 + _GAUSS_ETA) / 2.0) * h
+    K_all = element_stiffness(np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]]),
+                              alpha(gx, gy) * np.ones_like(gx), beta(gx, gy) * np.ones_like(gx))
     A = _scatter(N * N, conn, K_all)
     targets = np.column_stack([alpha(coords[:, 0], coords[:, 1]) * np.ones(N * N),
                                beta(coords[:, 0], coords[:, 1]) * np.ones(N * N)])

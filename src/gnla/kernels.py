@@ -247,6 +247,8 @@ def gnn_power_method(A: SparseMatrixCSR, b0, iters: int) -> tuple[np.ndarray, fl
 
 def power_method_reference(A: SparseMatrixCSR, b0, iters: int) -> tuple[np.ndarray, float]:
     b = dense_vector(b0).copy()
+    if not np.sum(b * b) > 0:       # zero, or its squares underflow
+        raise ValueError("b0 must have a nonzero norm")
     for _ in range(iters):
         b = spmv_csr(A, b)
         h1 = math.sqrt(float(np.sum(b * b)))

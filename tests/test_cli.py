@@ -95,6 +95,18 @@ def test_kernel_and_demo_amg_bad_counts_are_usage_errors(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "soc-classic", "--tau", "0"], "--tau must lie in (0, 1], got 0.0"),
+    (["kernel", "soc-classic", "--tau", "1.5"], "--tau must lie in (0, 1], got 1.5"),
+    (["kernel", "jacobi", "--omega", "nan"], "--omega must be finite, got nan"),
+    (["kernel", "spmv", "--tol", "-1"], "--tol must be > 0, got -1.0"),
+    (["demo-amg", "--tol", "0"], "--tol must be > 0, got 0.0"),
+])
+def test_kernel_and_demo_amg_bad_reals_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["spmv", "norm", "jacobi", "chebyshev",
                                   "power", "soc-classic", "soc-sa"])
 def test_kernel_empty_matrix_file_is_named(tmp_path, capsys, name):

@@ -1,6 +1,7 @@
 """Meshes, FEM assembly, stencil values, sine bases, dataset generation, disk I/O."""
 
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,21 @@ def row_by_offset(A, coords, i, tol=1e-9):
             for (dx, dy), v in zip(coords[cols] - coords[i], vals)}
 
 
+# exact bilinear stiffness on a w-by-h rectangle, corners counterclockwise from
+# the lower left: (a h / 6w) KX + (b w / 6h) KY
+KX = np.array([[2, -2, -1, 1], [-2, 2, 1, -1], [-1, 1, 2, -2], [1, -1, -2, 2]])
+KY = np.array([[2, 1, -1, -2], [1, 2, -2, -1], [-1, -2, 2, 1], [-2, -1, 1, 2]])
+
+
+def rectangle_stiffness(w, h, a=1, b=1):
+    """Closed-form stiffness; exact when w, h, a, b are Fractions."""
+    return (a * h / (6 * w)) * KX + (b * w / (6 * h)) * KY
+
+
+def rectangle(x0, y0, x1, y1):
+    return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+
+
 def test_element_stiffness_unit_square():
     # unit bilinear element: rows sum to zero, diagonal 2/3
     K = element_stiffness(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
@@ -31,10 +47,43 @@ def test_element_stiffness_unit_square():
     assert np.allclose(K, K.T, atol=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1, 1), st.floats(-1, 1), st.floats(1e-3, 1), st.floats(1e-3, 1),
+       st.floats(0.1, 10), st.floats(0.1, 10))
+def test_element_stiffness_matches_closed_form(x0, y0, w, h, a, b):
+    corners = rectangle(x0, y0, x0 + w, y0 + h)
+    # the exact widths of the float corners, not the drawn w and h
+    w_exact = Fraction(corners[1, 0]) - Fraction(corners[0, 0])
+    h_exact = Fraction(corners[3, 1]) - Fraction(corners[0, 1])
+    want = rectangle_stiffness(w_exact, h_exact, Fraction(a), Fraction(b)).astype(float)
+    got = element_stiffness(corners, a, b)
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
 def test_element_stiffness_rejects_degenerate():
-    bad = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])  # clockwise
-    with pytest.raises(ValueError):
-        element_stiffness(bad)
+    for corners in ([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]],     # clockwise
+                    [[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0]],     # zero width
+                    [[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]],     # sheared
+                    [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],    # one bad element
+                     [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.1]]]):  # in a batch
+        with pytest.raises(ValueError, match="not an axis-aligned rectangle"):
+            element_stiffness(np.array(corners))
+
+
+def test_element_stiffness_batched_equals_per_element():
+    rng = np.random.default_rng(3)
+    mesh = build_band_mesh(9, 0.01, 4)
+    corners = mesh.coords[mesh.elements]
+    a, b = rng.uniform(0.1, 2.0, (2, len(corners), 4))
+    batched = element_stiffness(corners, a, b)
+    assert np.array_equal(batched, np.stack(
+        [element_stiffness(c, ae, be) for c, ae, be in zip(corners, a, b)]))
+    assert np.array_equal(element_stiffness(corners), np.stack(
+        [element_stiffness(c) for c in corners]))
+    # one shared rectangle against per-element coefficients, as the periodic assembler calls it
+    square = rectangle(0.0, 0.0, 0.125, 0.125)
+    assert np.array_equal(element_stiffness(square, a, b), np.stack(
+        [element_stiffness(square, ae, be) for ae, be in zip(a, b)]))
 
 
 def test_band_mesh_counts_and_flags():
@@ -42,7 +91,6 @@ def test_band_mesh_counts_and_flags():
     assert mesh.num_vertices == 9 * 11
     assert len(mesh.elements) == 8 * 10
     assert len(mesh.interior()) == 7 * 9
-    assert mesh.band == (4 / 8, 0.04)
 
 
 def test_band_mesh_validation():
@@ -78,14 +126,15 @@ def test_band_assembly_matches_per_element_oracle(data):
     band_col = data.draw(st.integers(min_value=2, max_value=N_y - 3), label="band_col")
     mesh = build_band_mesh(N_y, frac / (N_y - 1), band_col)
     A = assemble_laplace_dirichlet(mesh)
-    # oracle: every element's own stiffness added into a dense matrix
+    # oracle: every element's closed-form stiffness added into a dense matrix
     interior = mesh.interior()
     dof = np.full(mesh.num_vertices, -1)
     dof[interior] = np.arange(len(interior))
     dense = np.zeros((len(interior), len(interior)))
     coupled = np.zeros(dense.shape, dtype=bool)
     for elem in mesh.elements:
-        K = element_stiffness(mesh.coords[elem])
+        (x0, y0), _, (x1, y1), _ = mesh.coords[elem]
+        K = rectangle_stiffness(x1 - x0, y1 - y0)
         d = dof[elem]
         inner = d >= 0
         dense[np.ix_(d[inner], d[inner])] += K[np.ix_(inner, inner)]

@@ -218,8 +218,9 @@ def test_jacobi_property(system, omega, iters):
 def test_power_method_property(system, iters):
     A, b0, _ = system
     if not np.sum(b0 * b0) > 0:
-        with pytest.raises(ValueError, match="b0 must have a nonzero norm"):
-            gnn_power_method(A, b0, iters)
+        for solver in (gnn_power_method, power_method_reference):
+            with pytest.raises(ValueError, match="b0 must have a nonzero norm"):
+                solver(A, b0, iters)
         return
     try:
         want_v, want_lam = power_method_reference(A, b0, iters)
@@ -230,3 +231,40 @@ def test_power_method_property(system, iters):
     got_v, got_lam = gnn_power_method(A, b0, iters)
     _close(got_v, want_v)
     _close(got_lam, want_lam, _scale(A, np.abs(want_v)))
+
+
+@st.composite
+def spd_systems(draw):
+    """A diagonally dominant SPD n x n matrix (1 <= n <= 6) on a random symmetric
+    pattern in which any row may have no off-diagonal entries, and two vectors."""
+    n = draw(st.integers(1, 6))
+    value = st.floats(-10, 10)
+    upper = np.triu(np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
+                             dtype=bool).reshape(n, n), 1)
+    dense = np.zeros((n, n))
+    dense[upper] = draw(st.lists(value, min_size=int(upper.sum()), max_size=int(upper.sum())))
+    dense += dense.T
+    margin = draw(st.lists(st.floats(0.1, 10), min_size=n, max_size=n))
+    np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + margin)
+    b, x0 = (np.array(draw(st.lists(value, min_size=n, max_size=n))) for _ in range(2))
+    return from_dense(dense), b, x0
+
+
+@settings(max_examples=150, deadline=None)
+@given(spd_systems(), st.integers(0, 8))
+@example(ONE, 3)
+@example((from_dense(np.diag([2.0, 3.0, 5.0])), np.ones(3), np.zeros(3)), 3)
+@example((from_dense(np.diag([2.0, 2.0])), np.ones(2), np.zeros(2)), 3)
+@example((from_dense([[4.0, -1.0, 0.0], [-1.0, 4.0, 0.0], [0.0, 0.0, 1.0]]),
+          np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, -0.5])), 5)
+def test_chebyshev_property(system, n_iters):
+    A, b, x0 = system
+    lam = np.linalg.eigvalsh(A.to_dense())
+    if lam[0] == lam[-1]:      # n = 1, or a multiple of the identity
+        for solver in (gnn_chebyshev, chebyshev_reference):
+            with pytest.raises(ValueError, match="degenerate spectrum"):
+                solver(A, b, x0, lam[0], lam[-1], n_iters)
+        return
+    want = chebyshev_reference(A, b, x0, lam[0], lam[-1], n_iters)
+    _close(gnn_chebyshev(A, b, x0, lam[0], lam[-1], n_iters), want,
+           float(np.max(np.abs(want))))
