@@ -77,9 +77,8 @@ def _train_config(cfg: dict) -> tr.TrainConfig:
 # -- dataset on disk ----------------------------------------------------------
 
 def _write_dataset(out_dir: str, kind: str, dcfg, force: bool) -> dict:
-    if os.path.exists(out_dir):
-        if not force:
-            raise UsageError(f"output directory {out_dir} exists (use --force)")
+    if os.path.exists(out_dir) and not force:
+        raise UsageError(f"output directory {out_dir} exists (use --force)")
     os.makedirs(out_dir, exist_ok=True)
     gen = gen_jacobi_dataset if kind == "jacobi" else gen_diffusion_dataset
     splits = gen(dcfg)
@@ -87,11 +86,9 @@ def _write_dataset(out_dir: str, kind: str, dcfg, force: bool) -> dict:
                 "config": {**dcfg.__dict__, "counts": list(dcfg.counts)},
                 "splits": {}}
     for split, instances in splits.items():
-        names = []
-        for inst in instances:
-            name = f"inst_{inst.meta['index']:04d}"
+        names = [f"inst_{inst.meta['index']:04d}" for inst in instances]
+        for name, inst in zip(names, instances):
             write_instance(os.path.join(out_dir, name), inst)
-            names.append(name)
         manifest["splits"][split] = names
     with atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)

@@ -9,10 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph_net import AttributedGraph, matrix_to_graph
-from .sparse import (SparseMatrixCSR, atomic_write, from_coo, read_matrix_market,
-                     write_matrix_market)
-
-FLOAT_FMT = "%.17g"
+from .sparse import (SparseMatrixCSR, atomic_write, format_floats, from_coo,
+                     read_matrix_market, write_matrix_market)
 
 # corners of the reference bilinear element [-1,1]^2, counterclockwise from (-1,-1)
 _CX, _CY = np.array([-1.0, 1.0, 1.0, -1.0]), np.array([-1.0, -1.0, 1.0, 1.0])
@@ -92,11 +90,13 @@ def _scatter(n_dofs: int, dofs: np.ndarray, blocks: np.ndarray) -> SparseMatrixC
 
     Duplicates are summed in element order, then local row, then local column.
     """
-    rows = np.repeat(dofs, 4, axis=1)
-    cols = np.tile(dofs, (1, 4))
-    keep = (rows >= 0) & (cols >= 0)
-    return from_coo(n_dofs, rows[keep], cols[keep],
-                    blocks.reshape(len(blocks), 16)[keep], sum_duplicates=True)
+    rows = np.repeat(dofs, 4, axis=1).ravel()
+    cols = np.tile(dofs, (1, 4)).ravel()
+    vals = blocks.ravel()
+    if np.any(dofs < 0):
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return from_coo(n_dofs, rows, cols, vals, sum_duplicates=True)
 
 
 # -- band mesh (Dirichlet Laplace experiment) --------------------------------
@@ -354,18 +354,20 @@ def write_instance(dirname: str, inst: ProblemInstance) -> None:
     meta["h"] = inst.h
     with atomic_write(os.path.join(dirname, "meta.json")) as fh:
         json.dump(meta, fh, sort_keys=True, indent=1)
-    with atomic_write(os.path.join(dirname, "coords.csv")) as fh:
-        np.savetxt(fh, inst.coords, fmt=FLOAT_FMT, delimiter=",", header="x,y",
-                   comments="")
-    if inst.targets is not None:
-        with atomic_write(os.path.join(dirname, "targets.csv")) as fh:
-            np.savetxt(fh, inst.targets, fmt=FLOAT_FMT, delimiter=",",
-                       header="alpha,beta", comments="")
+    for name, header, values in (("coords.csv", "x,y", inst.coords),
+                                 ("targets.csv", "alpha,beta", inst.targets)):
+        if values is not None:
+            with atomic_write(os.path.join(dirname, name)) as fh:
+                fh.write(header + "\n")
+                fh.write("".join(f"{x},{y}\n" for x, y in format_floats(values).tolist()))
 
 
 def _read_pairs(path: str, n: int) -> np.ndarray:
     """One finite 2-column row per matrix row from a side file with a header."""
-    values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if values.shape != (n, 2):
         raise ValueError(f"{path}: expected {n} rows of 2 values, got shape {values.shape}")
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))

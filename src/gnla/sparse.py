@@ -101,7 +101,8 @@ def from_coo(n: int, rows, cols, vals, sum_duplicates: bool = False) -> SparseMa
         dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
         if np.any(dup):
             if not sum_duplicates:
-                raise MatrixFormatError("duplicate (row, col) entries")
+                k = np.argmax(dup)
+                raise MatrixFormatError(f"duplicate (row, col) entry ({rows[k]}, {cols[k]})")
             keep = np.concatenate(([True], ~dup))
             group = np.cumsum(keep) - 1
             summed = np.zeros(group[-1] + 1)
@@ -261,7 +262,12 @@ def read_matrix_market(path) -> SparseMatrixCSR:
         off = i != j
         i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
                    np.concatenate((v, v[off])))
-    return from_coo(nrows, i, j, v)
+    try:
+        return from_coo(nrows, i, j, v)
+    except MatrixFormatError:   # in range and finite by now, so a position repeats
+        pos, count = np.unique(np.column_stack((i, j)) + 1, axis=0, return_counts=True)
+        raise MatrixFormatError(f"{path}: duplicate (row, col) entry "
+                                f"{tuple(pos[count > 1][0].tolist())}") from None
 
 
 def _is_data(line: str) -> bool:
@@ -310,11 +316,22 @@ def atomic_write(path):
         raise
 
 
+def format_floats(values) -> np.ndarray:
+    """'%.17g' (an exact round trip) of each float in ``values``, as an object array of
+    its shape. Each distinct bit pattern is formatted once, so -0.0 stays '-0'."""
+    values = np.asarray(values, dtype=np.float64)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(values.shape)]   # its shape varies with the NumPy version
+
+
 def write_matrix_market(path, A: SparseMatrixCSR) -> None:
     """Write in coordinate/general format with 17 significant digits (exact round-trip)."""
-    entries = zip((A.row_of_entry() + 1).tolist(), (A.col_idx + 1).tolist(),
-                  A.values.tolist())
+    index = np.array([f"{k} " for k in range(1, A.n + 1)], dtype=object)
+    cells = np.full((A.nnz, 4), "\n", dtype=object)     # "row col value\n"
+    cells[:, 0], cells[:, 1] = index[A.row_of_entry()], index[A.col_idx]
+    cells[:, 2] = format_floats(A.values)
     with atomic_write(path) as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{A.n} {A.n} {A.nnz}\n")
-        fh.write("".join("%d %d %.17g\n" % e for e in entries))
+        fh.write("".join(cells.ravel().tolist()))

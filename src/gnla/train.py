@@ -8,8 +8,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .fem import (FLOAT_FMT, ProblemInstance, assemble_diffusion_periodic,
-                  check_int, check_real, diffusion_graph, sine_mode_basis)
+from .fem import (ProblemInstance, assemble_diffusion_periodic, check_int, check_real,
+                  diffusion_graph, sine_mode_basis)
 from .sparse import SparseMatrixCSR, atomic_write, diag, spectrum_bounds, spmm_csr
 
 
@@ -307,7 +307,7 @@ def _write_csv(path, header, rows):
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(
-                (FLOAT_FMT % v) if isinstance(v, float) else str(v)
+                ("%.17g" % v) if isinstance(v, float) else str(v)
                 for v in row) + "\n")
 
 

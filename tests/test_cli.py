@@ -65,6 +65,7 @@ def test_kernel_bad_matrix_file_is_numerical_error(tmp_path):
     ("complex", "1 1 1.0 0.0", "bad.mtx:1: unsupported field type 'complex'"),
     ("real", "1 1 nan", "bad.mtx:4: non-finite value 'nan'"),
     ("real", "1 1 -inf", "bad.mtx:4: non-finite value '-inf'"),
+    ("real", "2 2 5.0", "bad.mtx: duplicate (row, col) entry (2, 2)"),
 ])
 def test_kernel_matrix_field_type_and_non_finite_rejected(tmp_path, capsys,
                                                           field, entry, message):

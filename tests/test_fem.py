@@ -1,20 +1,22 @@
 """Meshes, FEM assembly, stencil values, sine bases, dataset generation, disk I/O."""
 
+import io
 import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gnla.fem import (DiffusionDataConfig, JacobiDataConfig,
+from gnla import fem
+from gnla.fem import (DiffusionDataConfig, JacobiDataConfig, ProblemInstance,
                       assemble_diffusion_periodic, assemble_laplace_dirichlet,
                       build_band_mesh, diffusion_graph, dst_basis,
                       element_stiffness, gen_diffusion_dataset,
                       gen_jacobi_dataset, jacobi_instance, read_instance,
                       sine_mode_basis, write_instance)
-from gnla.sparse import spmv_csr
+from gnla.sparse import identity, spmv_csr
 
 
 def row_by_offset(A, coords, i, tol=1e-9):
@@ -284,6 +286,10 @@ def test_instance_disk_roundtrip(tmp_path):
     ("targets.csv", lambda lines: lines[:-1], "expected 36 rows of 2 values"),
     ("coords.csv", lambda lines: [line + ",0.0" for line in lines],
      "expected 36 rows of 2 values"),
+    ("coords.csv", lambda lines: lines[:3] + [lines[3] + ",0.0"] + lines[4:],
+     "the number of columns changed from 2 to 3 at row 3"),
+    ("targets.csv", lambda lines: lines[:2] + ["abc,0.5"] + lines[3:],
+     "could not convert string 'abc'"),
 ])
 def test_read_instance_rejects_bad_side_files(tmp_path, fname, edit, message):
     inst = assemble_diffusion_periodic(6, 1, 2, 0, 1)
@@ -311,11 +317,38 @@ def test_write_instance_failure_keeps_old_files(tmp_path, monkeypatch):
     write_instance(str(folder), inst)
     old = {name: (folder / name).read_bytes() for name in os.listdir(folder)}
 
-    def savetxt_then_fail(fh, X, **kwargs):
-        fh.write("x,y\n0.5,")
+    def fail(values):       # coords.csv's header is written by now
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savetxt", savetxt_then_fail)
+    monkeypatch.setattr(fem, "format_floats", fail)
     with pytest.raises(OSError, match="disk full"):
         write_instance(str(folder), inst)
     assert {name: (folder / name).read_bytes() for name in os.listdir(folder)} == old
+
+
+# signed zeros, subnormals and the largest finite doubles among repeated values
+SIDE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308,
+                               1.7976931348623157e308, -1.7976931348623157e308, 0.5])
+
+
+@st.composite
+def side_values(draw):
+    """coords and targets arrays of n rows each."""
+    n = draw(st.integers(0, 6))
+    cell = SIDE_FLOATS | st.floats(allow_nan=False)
+    rows = st.lists(st.tuples(cell, cell), min_size=n, max_size=n)
+    return [np.array(draw(rows), dtype=np.float64).reshape(n, 2) for _ in range(2)]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(side_values())
+def test_side_files_match_savetxt(tmp_path, side):
+    coords, targets = side
+    write_instance(str(tmp_path), ProblemInstance(identity(len(coords)), coords, 0.5,
+                                                  targets, {}))
+    for fname, header, values in (("coords.csv", "x,y", coords),
+                                  ("targets.csv", "alpha,beta", targets)):
+        want = io.StringIO()
+        np.savetxt(want, values, fmt="%.17g", delimiter=",", header=header, comments="")
+        assert (tmp_path / fname).read_text() == want.getvalue()

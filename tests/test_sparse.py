@@ -29,8 +29,8 @@ def test_from_coo_sorts_and_sums_duplicates():
 
 
 def test_from_coo_rejects_duplicates_by_default():
-    with pytest.raises(MatrixFormatError):
-        from_coo(2, [0, 0], [1, 1], [1.0, 1.0])
+    with pytest.raises(MatrixFormatError, match=re.escape("duplicate (row, col) entry (0, 1)")):
+        from_coo(2, [1, 0, 0], [0, 1, 1], [1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("rows, cols, message", [
@@ -220,6 +220,18 @@ def test_matrix_market_malformed(tmp_path, text):
         read_matrix_market(path)
 
 
+@pytest.mark.parametrize("symmetry, entries, position", [
+    ("general", "2 1 1.0\n1 1 2.0\n2 1 3.0\n", (2, 1)),
+    ("symmetric", "1 1 1.0\n2 1 -1.0\n1 2 -1.0\n", (1, 2)),   # both triangles listed
+], ids=["general", "symmetric_both_triangles"])
+def test_matrix_market_duplicate_entry_named(tmp_path, symmetry, entries, position):
+    path = tmp_path / "dup.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 3\n{entries}")
+    with pytest.raises(MatrixFormatError, match="^" + re.escape(
+            f"{path}: duplicate (row, col) entry {position}")):
+        read_matrix_market(path)
+
+
 def test_matrix_market_comments_and_blank_lines_between_entries(tmp_path):
     path = tmp_path / "c.mtx"
     path.write_text(HEADER + "% a comment\n2 2 2\n\n1 1 1.5\n  % another\n2 1 -2\n")
@@ -251,6 +263,42 @@ def test_matrix_market_write_read_roundtrip(tmp_path, coo):
     assert np.array_equal(B.row_ptr, A.row_ptr)
     assert np.array_equal(B.col_idx, A.col_idx)
     assert B.values.tobytes() == A.values.tobytes()   # signed zeros too
+
+
+# signed zeros, subnormals and the largest finite doubles, which the writer
+# must spell as the per-entry "%.17g" did
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1.0]
+
+
+@st.composite
+def matrices_with_repeats(draw):
+    """Matrices whose values come from a pool of at most four, so values repeat."""
+    n = draw(st.integers(0, 6))
+    pattern = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    rows, cols = np.nonzero(np.array(pattern, dtype=bool).reshape(n, n))
+    pool = draw(st.lists(st.sampled_from(EDGE_FLOATS)
+                         | st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=4))
+    vals = draw(st.lists(st.sampled_from(pool), min_size=len(rows), max_size=len(rows)))
+    return from_coo(n, rows, cols, vals)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrices_with_repeats())
+@example(from_coo(0, [], [], []))
+@example(from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [-0.0, 0.0, 0.0, -0.0]))
+@example(from_coo(3, [0, 1, 2, 2], [2, 1, 0, 2], [5e-324, -5e-324, 1.7976931348623157e308,
+                                                  -1.7976931348623157e308]))
+def test_write_matrix_market_matches_per_entry_oracle(tmp_path, A):
+    path = tmp_path / "w.mtx"
+    write_matrix_market(path, A)
+    entries = zip((A.row_of_entry() + 1).tolist(), (A.col_idx + 1).tolist(),
+                  A.values.tolist())
+    want = ("%%MatrixMarket matrix coordinate real general\n"
+            f"{A.n} {A.n} {A.nnz}\n" + "".join("%d %d %.17g\n" % e for e in entries))
+    assert path.read_bytes() == want.encode()
 
 
 def _nonsymmetric():
