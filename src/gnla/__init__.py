@@ -23,8 +23,8 @@ from .nn import (LayerSpec, MLPSpec, ModelSpec, ParamStore, adam_init,
 from .fem import (DiffusionDataConfig, JacobiDataConfig, ProblemInstance,
                   QuadMesh, assemble_diffusion_periodic,
                   assemble_laplace_dirichlet, build_band_mesh, diffusion_graph,
-                  dst_basis, gen_diffusion_dataset, gen_jacobi_dataset,
-                  read_instance, sine_mode_basis, write_instance)
+                  gen_diffusion_dataset, gen_jacobi_dataset, read_instance,
+                  sine_mode_basis, write_instance)
 from .sparse import (MatrixFormatError, SparseMatrixCSR, from_coo, from_dense,
                      identity, read_matrix_market, spmm_csr, spmv_csr,
                      write_matrix_market)

@@ -137,10 +137,13 @@ def direct_interpolation(A: SparseMatrixCSR, S_hat: SparseMatrixCSR,
                          cf: CFPartition) -> tuple[SparseMatrixCSR, np.ndarray]:
     """Direct interpolation weights via two layers plus post-processing.
 
-    Layer 1 passes the coarse indicator to each edge and forms, per vertex,
-    alpha_i = (sum_j A_ij) / (A_ii * sum_j A_ij C_j S_hat_ij) with both sums
-    over off-diagonal stored entries. Layer 2 sets P_ij = (1-C_i)(-A_ij alpha_i).
-    Post-processing puts 1 on the diagonal of C rows and removes F columns.
+    With s_ij = [S_hat_ij != 0] for j != i (and s_ii = 0), layer 1 passes the
+    coarse indicator to each edge and forms, per vertex,
+    alpha_i = (sum_j A_ij) / (A_ii * sum_j A_ij C_j s_ij) with both sums over
+    off-diagonal stored entries. Layer 2 sets P_ij = (1-C_i)(-A_ij alpha_i s_ij),
+    so an F row interpolates from its strong C neighbours only and sums to
+    1 - (sum_j A_ij) / A_ii over all j. Post-processing puts 1 on the diagonal
+    of C rows and removes F columns.
 
     Returns (P_square, P): layer 2's output on A's pattern, F columns
     included, and the dense n-by-|C| prolongator holding its C columns.
@@ -175,7 +178,7 @@ def direct_interpolation(A: SparseMatrixCSR, S_hat: SparseMatrixCSR,
     mid = apply_layer(graph, layer1)
 
     def phi_e2(E, Vs, Vd, g):
-        p = (1.0 - Vd[:, 1]) * (-graph.edge_attrs[:, 0] * Vd[:, 2])
+        p = (1.0 - Vd[:, 1]) * (-graph.edge_attrs[:, 0] * Vd[:, 2]) * strong[:, 0]
         # post-processing step (a): unit diagonal on C rows
         p = p + Vd[:, 1] * ~off_diag[:, 0]
         return p[:, None]
@@ -218,12 +221,13 @@ def two_level_solve(A: SparseMatrixCSR, b, tau: float = 0.25, omega: float = 2.0
     A_coarse = P.T @ A_dense @ P
     if np.linalg.slogdet(A_coarse)[0] == 0:
         raise np.linalg.LinAlgError("coarse matrix is singular")
+    A_coarse_inv = np.linalg.inv(A_coarse)   # one factorisation for every cycle
     x = np.zeros(A.n)
     residuals = [float(np.linalg.norm(b - spmv_csr(A, x)))]
     for _ in range(iters):
         x = jacobi_reference(A, b, x, omega, pre_sweeps)
         r = b - spmv_csr(A, x)
-        x = x + P @ np.linalg.solve(A_coarse, P.T @ r)
+        x = x + P @ (A_coarse_inv @ (P.T @ r))
         x = jacobi_reference(A, b, x, omega, pre_sweeps)
         residuals.append(float(np.linalg.norm(b - spmv_csr(A, x))))
     if collect_residuals:

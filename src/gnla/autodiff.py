@@ -336,38 +336,3 @@ def backward(tape: Tape, output: Var) -> dict[int, np.ndarray]:
                 grads[parent] = np.asarray(piece, dtype=np.float64)
     return grads
 
-
-def grad_check(f, params: np.ndarray, step: float = 1e-6,
-               sample: int | None = None, rng=None) -> float:
-    """Compare autodiff against central finite differences.
-
-    ``f(tape, params_var) -> scalar Var`` defines the function; coordinates may
-    be subsampled for large parameter vectors. Returns the max relative error.
-    """
-    params = np.asarray(params, dtype=np.float64)
-    tape = Tape()
-    p = tape.leaf(params)
-    out = f(tape, p)
-    analytic = backward(tape, out)[p.idx].ravel()
-
-    def plain(theta):
-        t = Tape()
-        return float(f(t, t.leaf(theta.reshape(params.shape))).value)
-
-    coords = np.arange(params.size)
-    if sample is not None and sample < len(coords):
-        rng = rng or np.random.default_rng(0)
-        coords = rng.choice(coords, size=sample, replace=False)
-    worst = 0.0
-    flat = params.ravel().copy()
-    for k in coords:
-        orig = flat[k]
-        flat[k] = orig + step
-        hi = plain(flat)
-        flat[k] = orig - step
-        lo = plain(flat)
-        flat[k] = orig
-        fd = (hi - lo) / (2 * step)
-        denom = max(abs(fd), abs(analytic[k]), 1e-8)
-        worst = max(worst, abs(fd - analytic[k]) / denom)
-    return worst

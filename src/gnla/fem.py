@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_net import AttributedGraph, matrix_to_graph
+from .graph_net import AttributedGraph, matrix_to_graph, with_attrs
 from .sparse import (SparseMatrixCSR, atomic_write, format_floats, from_coo,
                      read_matrix_market, write_matrix_market)
 
@@ -199,8 +199,7 @@ def diffusion_graph(inst: ProblemInstance) -> AttributedGraph:
     diag_attr = np.zeros((inst.A.n, 1))
     self_mask = graph.src == graph.dst
     diag_attr[graph.dst[self_mask], 0] = graph.edge_attrs[self_mask, 0]
-    return AttributedGraph(graph.num_vertices, graph.edges, diag_attr,
-                           edge_attrs, graph.global_attrs)
+    return with_attrs(graph, vertex_attrs=diag_attr, edge_attrs=edge_attrs)
 
 
 # -- sine-mode bases ----------------------------------------------------------
@@ -224,16 +223,6 @@ def sine_mode_basis(coords: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.nd
     tx, ty = np.meshgrid(t, t, indexing="ij")
     low = ((tx <= n_modes / 2) & (ty <= n_modes / 2)).ravel()
     return V[:, low], V[:, ~low]
-
-
-def dst_basis(N_y: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal sine basis on the N_y x N_y grid of interior unit-square
-    points x_i = i/(N_y+1); N_y counts interior unknowns per direction."""
-    if N_y < 2:
-        raise ValueError("N_y must be at least 2")
-    g = np.arange(1, N_y + 1) / (N_y + 1)
-    X, Y = np.meshgrid(g, g)
-    return sine_mode_basis(np.column_stack([X.ravel(), Y.ravel()]), N_y)
 
 
 # -- dataset generation -------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,6 +19,11 @@ class AttributedGraph:
     Edges are stored in canonical order, sorted by (dst, src), so that all
     edges terminating at a vertex form a contiguous block and aggregation is
     a deterministic contiguous scan.
+
+    Topology is checked once per graph, at construction: the range and order
+    of ``edges``, then the in-degrees and incoming splits derived from them.
+    A layer changes attributes only, so its output (and ``with_attrs``)
+    shares these arrays with its parent and checks only the new attributes.
     """
 
     num_vertices: int
@@ -26,27 +31,24 @@ class AttributedGraph:
     vertex_attrs: np.ndarray   # (Nv, n_v)
     edge_attrs: np.ndarray     # (Ne, n_e), row order matches `edges`
     global_attrs: np.ndarray   # (n_g,)
+    # derived from `edges` in __post_init__, read-only
+    in_degree: np.ndarray = field(init=False, repr=False, compare=False)   # (Nv,)
+    _splits: np.ndarray = field(init=False, repr=False, compare=False)     # (Nv + 1,)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        va = np.atleast_2d(np.asarray(self.vertex_attrs, dtype=np.float64))
-        ea = np.asarray(self.edge_attrs, dtype=np.float64)
-        if ea.ndim == 1:
-            ea = ea[:, None]
-        ga = np.atleast_1d(np.asarray(self.global_attrs, dtype=np.float64))
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "vertex_attrs", va)
-        object.__setattr__(self, "edge_attrs", ea)
-        object.__setattr__(self, "global_attrs", ga)
         if len(edges) and (edges.min() < 0 or edges.max() >= self.num_vertices):
             raise ValueError("edge endpoint out of range")
-        if va.shape[0] != self.num_vertices:
-            raise ValueError("vertex attribute rows must match vertex count")
-        if ea.shape[0] != len(edges):
-            raise ValueError("edge attribute rows must match edge count")
         key = edges[:, 1] * self.num_vertices + edges[:, 0]
         if np.any(np.diff(key) < 0):
             raise ValueError("edges must be sorted by (dst, src)")
+        in_degree = np.bincount(edges[:, 1], minlength=self.num_vertices)
+        splits = np.concatenate(([0], np.cumsum(in_degree)))
+        in_degree.flags.writeable = splits.flags.writeable = False
+        object.__setattr__(self, "in_degree", in_degree)
+        object.__setattr__(self, "_splits", splits)
+        _set_attrs(self, self.vertex_attrs, self.edge_attrs, self.global_attrs)
 
     @property
     def num_edges(self) -> int:
@@ -62,8 +64,33 @@ class AttributedGraph:
 
     def incoming_splits(self) -> np.ndarray:
         """Offsets delimiting, per vertex, the contiguous block of incoming edges."""
-        counts = np.bincount(self.dst, minlength=self.num_vertices)
-        return np.concatenate(([0], np.cumsum(counts)))
+        return self._splits
+
+
+def _set_attrs(graph: AttributedGraph, vertex_attrs, edge_attrs, global_attrs) -> None:
+    """Convert and store the three attribute sets, checking their row counts."""
+    va = np.atleast_2d(np.asarray(vertex_attrs, dtype=np.float64))
+    ea = np.asarray(edge_attrs, dtype=np.float64)
+    if ea.ndim == 1:
+        ea = ea[:, None]
+    ga = np.atleast_1d(np.asarray(global_attrs, dtype=np.float64))
+    object.__setattr__(graph, "vertex_attrs", va)
+    object.__setattr__(graph, "edge_attrs", ea)
+    object.__setattr__(graph, "global_attrs", ga)
+    if va.shape[0] != graph.num_vertices:
+        raise ValueError("vertex attribute rows must match vertex count")
+    if ea.shape[0] != len(graph.edges):
+        raise ValueError("edge attribute rows must match edge count")
+
+
+def _same_topology(graph: AttributedGraph, vertex_attrs, edge_attrs,
+                   global_attrs) -> AttributedGraph:
+    """A graph sharing ``graph``'s checked topology, with new attributes."""
+    out = object.__new__(AttributedGraph)
+    for name in ("num_vertices", "edges", "in_degree", "_splits"):
+        object.__setattr__(out, name, getattr(graph, name))
+    _set_attrs(out, vertex_attrs, edge_attrs, global_attrs)
+    return out
 
 
 def make_graph(num_vertices, edges, vertex_attrs=None, edge_attrs=None,
@@ -148,10 +175,11 @@ def _reduce_all(attrs: np.ndarray, reducer: Reducer) -> np.ndarray:
 
 
 def _check_finite(attrs: np.ndarray, kind: str) -> None:
+    if np.isfinite(attrs).all():
+        return
     bad = ~np.all(np.isfinite(np.atleast_2d(attrs)), axis=-1)
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad.ravel())[0])
-        raise FloatingPointError(f"{kind} update produced a non-finite value at index {idx}")
+    idx = int(np.flatnonzero(bad.ravel())[0])
+    raise FloatingPointError(f"{kind} update produced a non-finite value at index {idx}")
 
 
 def apply_layer(graph: AttributedGraph, layer: GNLayerSpec) -> AttributedGraph:
@@ -164,8 +192,10 @@ def apply_layer(graph: AttributedGraph, layer: GNLayerSpec) -> AttributedGraph:
     """
     V, E, g = graph.vertex_attrs, graph.edge_attrs, graph.global_attrs
     if layer.phi_e is not None:
-        E_new = np.atleast_2d(np.asarray(
-            layer.phi_e(E, V[graph.src], V[graph.dst], g), dtype=np.float64))
+        # edges are sorted by dst, so V[dst] is each row repeated in-degree times
+        Vs = np.take(V, graph.src, axis=0)
+        Vd = np.repeat(V, graph.in_degree, axis=0)
+        E_new = np.atleast_2d(np.asarray(layer.phi_e(E, Vs, Vd, g), dtype=np.float64))
         if E_new.shape[0] != graph.num_edges:
             raise ValueError("edge update changed the number of edges")
         _check_finite(E_new, "edge")
@@ -186,7 +216,7 @@ def apply_layer(graph: AttributedGraph, layer: GNLayerSpec) -> AttributedGraph:
         _check_finite(g_new, "global")
     else:
         g_new = g
-    return AttributedGraph(graph.num_vertices, graph.edges, V_new, E_new, g_new)
+    return _same_topology(graph, V_new, E_new, g_new)
 
 
 def apply_layers(graph: AttributedGraph, layers: Sequence[GNLayerSpec]) -> AttributedGraph:
@@ -236,11 +266,8 @@ def graph_to_matrix(graph: AttributedGraph, attr_column: int = 0) -> SparseMatri
 def with_attrs(graph: AttributedGraph, vertex_attrs=None, edge_attrs=None,
                global_attrs=None) -> AttributedGraph:
     """Copy of the graph with some attribute sets replaced."""
-    kwargs = {}
-    if vertex_attrs is not None:
-        kwargs["vertex_attrs"] = vertex_attrs
-    if edge_attrs is not None:
-        kwargs["edge_attrs"] = edge_attrs
-    if global_attrs is not None:
-        kwargs["global_attrs"] = global_attrs
-    return replace(graph, **kwargs)
+    return _same_topology(
+        graph,
+        graph.vertex_attrs if vertex_attrs is None else vertex_attrs,
+        graph.edge_attrs if edge_attrs is None else edge_attrs,
+        graph.global_attrs if global_attrs is None else global_attrs)

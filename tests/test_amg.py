@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd, tridiag
-from gnla.amg import (cf_split_greedy, direct_interpolation, soc_abs,
-                      soc_classic, soc_sa, step, two_level_solve)
+from gnla.amg import (CFPartition, cf_split_greedy, direct_interpolation,
+                      soc_abs, soc_classic, soc_sa, step, two_level_solve)
 from gnla.kernels import jacobi_reference
 from gnla.sparse import diag, from_coo, from_dense, spmv_csr
 
@@ -248,7 +248,50 @@ def test_direct_interpolation_matches_row_oracle(case):
                 direct_interpolation(A, S, cf)
             return
         for j, a in nbrs:
-            if coarse[j]:
+            if coarse[j] and strong[i, j]:
                 want[i, cf.coarse_index[j]] = -a * (num / den)
     _, P = direct_interpolation(A, S, cf)
     np.testing.assert_allclose(P, want, rtol=1e-14, atol=0)
+
+
+@st.composite
+def weak_c_neighbour_cases(draw):
+    """M-matrices with a C/F split in which every F row has a strong C
+    neighbour, and F row 2 also has a weak one (C vertex 1)."""
+    n = draw(st.integers(3, 8))
+    coarse = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    coarse[:3] = [True, True, False]
+    off = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    strong = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    for i in np.flatnonzero(~coarse):
+        j = draw(st.sampled_from(np.flatnonzero(coarse).tolist()))
+        off[i, j] = strong[i, j] = True
+    off[2, :2], strong[2, :2] = True, [True, False]
+    np.fill_diagonal(off, False)
+    weights = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=n * n, max_size=n * n)))
+    dense = np.where(off, -weights.reshape(n, n), 0.0)
+    extra = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    # zero row sums occur; a row with no off-diagonal entry gets A_ii >= 1
+    np.fill_diagonal(dense, -dense.sum(axis=1) + extra + ~off.any(axis=1))
+    rows, cols = np.nonzero(off | np.eye(n, dtype=bool))
+    A = from_coo(n, rows, cols, dense[rows, cols])
+    S = from_coo(n, rows, cols, strong[rows, cols].astype(float))
+    labels = np.where(coarse, "C", "F")
+    cf = CFPartition(labels, {int(c): k for k, c in enumerate(np.flatnonzero(coarse))})
+    return A, S, cf
+
+
+@settings(max_examples=200, deadline=None)
+@given(weak_c_neighbour_cases())
+def test_direct_interpolation_f_rows_sum_from_strong_c_neighbours(case):
+    # P is 0 in weak C columns, and each F row sums to 1 - (sum_j A_ij) / A_ii
+    A, S, cf = case
+    dense, strong = A.to_dense(), S.to_dense() != 0
+    _, P = direct_interpolation(A, S, cf)
+    fine = np.flatnonzero(cf.labels == "F")
+    for i in fine:
+        for j, k in cf.coarse_index.items():
+            if not strong[i, j]:
+                assert P[i, k] == 0.0
+    want = 1.0 - dense[fine].sum(axis=1) / np.diag(dense)[fine]
+    np.testing.assert_allclose(P[fine].sum(axis=1), want, rtol=1e-12, atol=1e-14)

@@ -7,7 +7,36 @@ from hypothesis import strategies as st
 
 from conftest import random_spd
 from gnla import autodiff as ad
-from gnla.autodiff import Tape, backward, grad_check
+from gnla.autodiff import Tape, backward
+
+
+def grad_check(f, params: np.ndarray, step: float = 1e-6) -> float:
+    """Max relative error of autodiff against central finite differences.
+
+    ``f(tape, params_var) -> scalar Var`` defines the function.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    tape = Tape()
+    p = tape.leaf(params)
+    analytic = backward(tape, f(tape, p))[p.idx].ravel()
+
+    def plain(theta):
+        t = Tape()
+        return float(f(t, t.leaf(theta.reshape(params.shape))).value)
+
+    worst = 0.0
+    flat = params.ravel().copy()
+    for k in range(params.size):
+        orig = flat[k]
+        flat[k] = orig + step
+        hi = plain(flat)
+        flat[k] = orig - step
+        lo = plain(flat)
+        flat[k] = orig
+        fd = (hi - lo) / (2 * step)
+        denom = max(abs(fd), abs(analytic[k]), 1e-8)
+        worst = max(worst, abs(fd - analytic[k]) / denom)
+    return worst
 
 
 def scalar_fn_check(f, x0, tol=1e-7, **kw):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import dst_basis
 from gnla import fem
 from gnla.fem import (DiffusionDataConfig, JacobiDataConfig, ProblemInstance,
                       assemble_diffusion_periodic, assemble_laplace_dirichlet,
-                      build_band_mesh, diffusion_graph, dst_basis,
-                      element_stiffness, gen_diffusion_dataset,
-                      gen_jacobi_dataset, jacobi_instance, read_instance,
-                      sine_mode_basis, write_instance)
+                      build_band_mesh, diffusion_graph, element_stiffness,
+                      gen_diffusion_dataset, gen_jacobi_dataset,
+                      jacobi_instance, read_instance, sine_mode_basis,
+                      write_instance)
 from gnla.sparse import identity, spmv_csr
 
 

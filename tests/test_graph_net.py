@@ -102,9 +102,16 @@ def test_none_updates_leave_attrs_unchanged():
 
 
 def test_non_finite_update_raises():
-    g = small_graph()
+    g = small_graph()   # edge attrs [7, 6, 5], vertex attrs [0, 1, 2]
     with pytest.raises(FloatingPointError):
         apply_layer(g, GNLayerSpec(phi_e=lambda E, Vs, Vd, g_: E / 0.0))
+    with np.errstate(divide="ignore"):
+        # the bad value sits in the second column of edge 2
+        with pytest.raises(FloatingPointError, match="^edge update .* at index 2$"):
+            apply_layer(g, GNLayerSpec(
+                phi_e=lambda E, Vs, Vd, g_: np.column_stack([E, np.log(E - 5.0)])))
+        with pytest.raises(FloatingPointError, match="^vertex update .* at index 2$"):
+            apply_layer(g, GNLayerSpec(phi_v=lambda V, ebar, g_: V / (V - 2.0)))
 
 
 def test_topology_never_changes():
@@ -142,6 +149,108 @@ def test_with_attrs_replaces_selected_sets():
     out = with_attrs(g, global_attrs=np.array([9.0]))
     assert out.global_attrs[0] == 9.0
     assert np.array_equal(out.edge_attrs, g.edge_attrs)
+
+
+def test_layers_share_their_parents_topology():
+    g = small_graph()
+    out = apply_layer(g, GNLayerSpec(phi_e=lambda E, Vs, Vd, g_: E + Vs,
+                                     phi_v=lambda V, ebar, g_: ebar))
+    copy = with_attrs(out, vertex_attrs=np.ones((3, 2)))
+    for h in (out, copy):
+        assert h.edges is g.edges
+        assert h.in_degree is g.in_degree
+        assert h.incoming_splits() is g.incoming_splits()
+    assert np.array_equal(g.in_degree, [2, 0, 1])
+    with pytest.raises(ValueError, match="^vertex attribute rows must match vertex count$"):
+        with_attrs(g, vertex_attrs=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="^edge attribute rows must match edge count$"):
+        with_attrs(g, edge_attrs=np.zeros(4))
+
+
+# -- the executor against a textbook one ------------------------------------
+
+NAMES = ["sum", "mean", "min", "max"]
+REDUCERS = st.one_of(st.sampled_from(NAMES),
+                     st.lists(st.sampled_from(NAMES), min_size=1, max_size=3))
+
+
+def _reference_reduce(block: np.ndarray, reducer) -> np.ndarray:
+    """Fold the rows of ``block`` left to right; an empty block gives zeros."""
+    if not isinstance(reducer, str):
+        return np.concatenate([_reference_reduce(block, r) for r in reducer])
+    if len(block) == 0:
+        return np.zeros(block.shape[1])
+    if reducer == "mean":
+        return _reference_reduce(block, "sum") / len(block)
+    op = {"sum": np.add, "min": np.minimum, "max": np.maximum}[reducer]
+    acc = block[0]
+    for row in block[1:]:
+        acc = op(acc, row)
+    return acc
+
+
+def reference_layer(graph, layer):
+    """apply_layer written plainly: fancy-indexed gathers, one Python loop
+    over the vertices, and whole-set folds for the global update."""
+    V, E, g = graph.vertex_attrs, graph.edge_attrs, graph.global_attrs
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    if layer.phi_e is not None:
+        E = np.atleast_2d(layer.phi_e(E, V[src], V[dst], g))
+    if layer.phi_v is not None:
+        ebar = np.array([_reference_reduce(E[dst == v], layer.rho_ev)
+                         for v in range(graph.num_vertices)])
+        V = np.atleast_2d(layer.phi_v(V, ebar, g))
+    if layer.phi_g is not None:
+        g = layer.phi_g(g, _reference_reduce(E, layer.rho_eg),
+                        _reference_reduce(V, layer.rho_vg))
+    return V, E, g
+
+
+@st.composite
+def graphs_and_layers(draw):
+    """Random multigraphs (isolated vertices, no edges at all, repeated and
+    self edges) with several attribute columns, and one layer whose updates
+    all run, over random reducers.
+
+    Attributes are multiples of 1/4 and the updates keep every value a small
+    multiple of 1/16, so each sum is exact and the order in which the
+    executor adds cannot change a bit. Only a mean divides inexactly; when
+    the vertices take edge means, their global reduction is min or max.
+    """
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=24))
+    nv, ne, ng = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    quarters = st.integers(-16, 16).map(lambda k: k / 4.0)
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(quarters, min_size=size, max_size=size)),
+                        dtype=np.float64).reshape(shape)
+
+    graph = make_graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                       array(n, nv), array(len(edges), ne), array(ng))
+    rho_ev = draw(REDUCERS)
+    exact = "mean" not in ([rho_ev] if isinstance(rho_ev, str) else rho_ev)
+    layer = GNLayerSpec(
+        phi_e=lambda E, Vs, Vd, g: np.concatenate([E, Vs - 2.0 * Vd, Vs * Vd], axis=1)
+        + g.sum(),
+        phi_v=lambda V, ebar, g: np.concatenate([0.5 * V, ebar - g.sum()], axis=1),
+        phi_g=lambda g, e_agg, v_agg: np.concatenate([g, e_agg, v_agg]),
+        rho_ev=rho_ev, rho_eg=draw(REDUCERS),
+        rho_vg=draw(REDUCERS if exact else st.sampled_from(["min", "max"])))
+    return graph, layer
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_layers())
+def test_apply_layer_matches_reference_executor_bitwise(case):
+    graph, layer = case
+    out = apply_layer(graph, layer)
+    for got, want in zip((out.vertex_attrs, out.edge_attrs, out.global_attrs),
+                         reference_layer(graph, layer)):
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want, dtype=np.float64).tobytes()
 
 
 def test_permutation_equivariance():

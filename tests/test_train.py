@@ -6,12 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from conftest import tridiag
+from conftest import dst_basis, tridiag
 from gnla import autodiff as ad
 from gnla import nn
 from gnla import train as tr
 from gnla.fem import (DiffusionDataConfig, JacobiDataConfig,
-                      assemble_diffusion_periodic, diffusion_graph, dst_basis,
+                      assemble_diffusion_periodic, diffusion_graph,
                       gen_diffusion_dataset, gen_jacobi_dataset,
                       jacobi_instance, sine_mode_basis)
 from gnla.sparse import SparseMatrixCSR, diag, from_dense, identity, spmm_csr
