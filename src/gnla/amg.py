@@ -8,7 +8,6 @@ import numpy as np
 
 from .graph_net import (GNLayerSpec, apply_layer, apply_layers, graph_to_matrix,
                         matrix_to_graph, with_attrs)
-from .kernels import jacobi_reference
 from .sparse import SparseMatrixCSR, dense_vector, diag, spmv_csr
 
 
@@ -148,6 +147,15 @@ def direct_interpolation(A: SparseMatrixCSR, S_hat: SparseMatrixCSR,
     Returns (P_square, P): layer 2's output on A's pattern, F columns
     included, and the dense n-by-|C| prolongator holding its C columns.
     """
+    P_square, rows, cols, vals = _interpolation(A, S_hat, cf)
+    P = np.zeros((A.n, cf.num_coarse))
+    P[rows, cols] = vals
+    return P_square, P
+
+
+def _interpolation(A: SparseMatrixCSR, S_hat: SparseMatrixCSR, cf: CFPartition):
+    """``direct_interpolation``'s P_square, then P's C-column entries as
+    row-major triplets (row, coarse column, value)."""
     d = diag(A)
     C = cf.indicator()
     shat_vals = _aligned_values(A, S_hat)
@@ -184,14 +192,12 @@ def direct_interpolation(A: SparseMatrixCSR, S_hat: SparseMatrixCSR,
         return p[:, None]
 
     P_square = graph_to_matrix(apply_layer(mid, GNLayerSpec(phi_e=phi_e2)))
-    # post-processing step (b): scatter the C columns, renumbered by
-    # coarse_index, into the n-by-|C| prolongator
+    # post-processing step (b): keep the C columns, renumbered by coarse_index
     col = np.full(A.n, -1)
     col[list(cf.coarse_index)] = list(cf.coarse_index.values())
     keep = col[P_square.col_idx] >= 0
-    P = np.zeros((A.n, cf.num_coarse))
-    P[P_square.row_of_entry()[keep], col[P_square.col_idx[keep]]] = P_square.values[keep]
-    return P_square, P
+    return (P_square, P_square.row_of_entry()[keep], col[P_square.col_idx[keep]],
+            P_square.values[keep])
 
 
 def _aligned_values(A: SparseMatrixCSR, S: SparseMatrixCSR) -> np.ndarray:
@@ -202,33 +208,51 @@ def _aligned_values(A: SparseMatrixCSR, S: SparseMatrixCSR) -> np.ndarray:
     return S.values
 
 
+def _galerkin(A: SparseMatrixCSR, rows, cols, vals, nc: int) -> np.ndarray:
+    """Dense P^T A P from P's row-major triplets: each stored A_ij is paired with
+    the P entries of row i, then of row j, and one bincount sums the products."""
+    start = np.searchsorted(rows, np.arange(A.n + 1))   # P's row pointer
+
+    def pair(row):   # each item k with each P entry of row[k]: (k, entry)
+        count = start[row + 1] - start[row]
+        k = np.repeat(np.arange(len(row)), count)
+        return k, np.arange(len(k)) + np.repeat(start[row] - np.cumsum(count) + count, count)
+
+    e, i = pair(A.row_of_entry())   # A_ij with P_ia
+    f, j = pair(A.col_idx[e])       # (P_ia A_ij) with P_jb
+    return np.bincount(cols[i[f]] * nc + cols[j], (vals[i] * A.values[e])[f] * vals[j],
+                       minlength=nc * nc).reshape(nc, nc)
+
+
 def two_level_solve(A: SparseMatrixCSR, b, tau: float = 0.25, omega: float = 2.0 / 3.0,
                     pre_sweeps: int = 2, iters: int = 10,
                     collect_residuals: bool = False):
-    """Two-level cycle: Jacobi sweeps, dense coarse correction, Jacobi sweeps.
+    """Two-level cycle: Jacobi sweeps, coarse correction, Jacobi sweeps.
 
     A minimal demonstration of the coarse-grid correction; the prolongator
     comes from classic strength, greedy splitting, and direct interpolation.
+    Sparse Galerkin product, dense coarse inverse: nothing n-by-n or n-by-|C|.
     """
     b = dense_vector(b)
     S_hat = soc_classic(A, tau)
     cf = cf_split_greedy(S_hat)
-    if cf.num_coarse == A.n:
-        P = np.eye(A.n)
-    else:
-        _, P = direct_interpolation(A, S_hat, cf)
-    A_dense = A.to_dense()
-    A_coarse = P.T @ A_dense @ P
-    if np.linalg.slogdet(A_coarse)[0] == 0:
-        raise np.linalg.LinAlgError("coarse matrix is singular")
-    A_coarse_inv = np.linalg.inv(A_coarse)   # one factorisation for every cycle
+    _, pr, pc, pv = _interpolation(A, S_hat, cf)   # all C: P = I, with stored zeros
+    try:   # one factorisation for every cycle
+        A_coarse_inv = np.linalg.inv(_galerkin(A, pr, pc, pv, cf.num_coarse))
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("coarse matrix is singular") from None
+    w = omega / diag(A)   # jacobi_reference's weights, computed once
     x = np.zeros(A.n)
     residuals = [float(np.linalg.norm(b - spmv_csr(A, x)))]
     for _ in range(iters):
-        x = jacobi_reference(A, b, x, omega, pre_sweeps)
-        r = b - spmv_csr(A, x)
-        x = x + P @ (A_coarse_inv @ (P.T @ r))
-        x = jacobi_reference(A, b, x, omega, pre_sweeps)
+        # Jacobi sweeps, the coarse correction, Jacobi sweeps, each from its residual
+        for coarse in [False] * pre_sweeps + [True] + [False] * pre_sweeps:
+            r = b - spmv_csr(A, x)
+            if coarse:
+                y = A_coarse_inv @ np.bincount(pc, pv * r[pr], minlength=cf.num_coarse)
+                x = x + np.bincount(pr, pv * y[pc], minlength=A.n)
+            else:
+                x = x + w * r
         residuals.append(float(np.linalg.norm(b - spmv_csr(A, x))))
     if collect_residuals:
         return x, residuals

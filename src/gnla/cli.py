@@ -183,7 +183,9 @@ def cmd_kernel(args) -> int:
     print("result:", np.round(np.asarray(got_a).ravel()[:10], 12).tolist())
     print("oracle:", np.round(np.asarray(want_a).ravel()[:10], 12).tolist())
     print(f"max relative discrepancy: {disc:.3e}")
-    return 0 if disc < args.tol else 1
+    if not disc < args.tol:
+        raise ArithmeticError(f"max relative discrepancy {disc:.3e} not below --tol {args.tol:g}")
+    return 0
 
 
 def _soc_classic_oracle(A: SparseMatrixCSR, tau: float) -> np.ndarray:
@@ -313,7 +315,9 @@ def cmd_demo_amg(args) -> int:
     x, residuals = amg.two_level_solve(A, b, iters=args.iters, collect_residuals=True)
     for k, r in enumerate(residuals):
         print(f"cycle {k:2d}: residual {r:.6e}")
-    return 0 if residuals[-1] < args.tol else 1
+    if not residuals[-1] < args.tol:
+        raise ArithmeticError(f"final residual {residuals[-1]:.3e} not below --tol {args.tol:g}")
+    return 0
 
 
 # -- minimal SVG plots --------------------------------------------------------

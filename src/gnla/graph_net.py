@@ -27,7 +27,7 @@ class AttributedGraph:
     """
 
     num_vertices: int
-    edges: np.ndarray          # (Ne, 2) of (src, dst)
+    edges: np.ndarray          # (Ne, 2) of (src, dst), column-major: src, dst contiguous
     vertex_attrs: np.ndarray   # (Nv, n_v)
     edge_attrs: np.ndarray     # (Ne, n_e), row order matches `edges`
     global_attrs: np.ndarray   # (n_g,)
@@ -36,7 +36,7 @@ class AttributedGraph:
     _splits: np.ndarray = field(init=False, repr=False, compare=False)     # (Nv + 1,)
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asfortranarray(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
         object.__setattr__(self, "edges", edges)
         if len(edges) and (edges.min() < 0 or edges.max() >= self.num_vertices):
             raise ValueError("edge endpoint out of range")
@@ -104,8 +104,6 @@ def make_graph(num_vertices, edges, vertex_attrs=None, edge_attrs=None,
     if global_attrs is None:
         global_attrs = np.zeros(0)
     edge_attrs = np.asarray(edge_attrs, dtype=np.float64)
-    if edge_attrs.ndim == 1:
-        edge_attrs = edge_attrs[:, None]
     order = np.lexsort((edges[:, 0], edges[:, 1]))
     return AttributedGraph(num_vertices, edges[order], vertex_attrs,
                            edge_attrs[order], global_attrs)
@@ -120,9 +118,9 @@ class GNLayerSpec:
       phi_v(vertex_attrs, aggregated_edge_attrs, g)  -> new vertex_attrs
       phi_g(g, edge_aggregate, vertex_aggregate)     -> new g
     A ``None`` update leaves the corresponding attributes unchanged. Reducers
-    are named ('sum', 'mean', 'min', 'max') or lists of names (outputs
-    concatenated in list order); ``rho_eg`` and ``rho_vg``, which run once
-    per layer, may also be callables on the whole attribute array.
+    are named ('sum', 'mean', 'min', 'max') or lists of names, outputs
+    concatenated in list order (``rho_ev=[]`` gives phi_v a zero-width ebar);
+    ``rho_eg`` and ``rho_vg`` may also be callables on the whole attribute set.
     """
 
     phi_e: Callable | None = None
@@ -151,8 +149,8 @@ def aggregate_incoming(graph: AttributedGraph, edge_attrs: np.ndarray,
     """Per-vertex reduction of the attributes of edges terminating there.
 
     ``reducer`` is a name ('sum', 'mean', 'min', 'max') or a list of names
-    whose outputs are concatenated in list order. Vertices with no incoming
-    edges aggregate to zero for every reducer.
+    whose outputs are concatenated in list order (none for the empty list).
+    Vertices with no incoming edges aggregate to zero for every reducer.
     """
     edge_attrs = np.asarray(edge_attrs, dtype=np.float64)
     if edge_attrs.ndim == 1:
@@ -160,8 +158,8 @@ def aggregate_incoming(graph: AttributedGraph, edge_attrs: np.ndarray,
     splits = graph.incoming_splits()
     if isinstance(reducer, str):
         return _segment_reduce(edge_attrs, splits, reducer)
-    return np.concatenate(
-        [aggregate_incoming(graph, edge_attrs, r) for r in reducer], axis=1)
+    return np.concatenate([np.zeros((graph.num_vertices, 0))] +
+                          [aggregate_incoming(graph, edge_attrs, r) for r in reducer], axis=1)
 
 
 def _reduce_all(attrs: np.ndarray, reducer: Reducer) -> np.ndarray:
@@ -235,20 +233,17 @@ def matrix_to_graph(A: SparseMatrixCSR, self_edges: bool = True,
     """
     rows = A.row_of_entry()
     src, dst, vals = A.col_idx, rows, A.values
-    extra_cols = []
-    if not self_edges:
-        off = src != dst
-        src, dst, vals = src[off], dst[off], vals[off]
-        extra_cols.append(diag(A)[:, None])
     if vertex_attrs is None:
         vertex_attrs = np.zeros((A.n, 0))
     vertex_attrs = np.atleast_2d(np.asarray(vertex_attrs, dtype=np.float64))
-    if extra_cols:
-        vertex_attrs = np.concatenate([vertex_attrs] + extra_cols, axis=1)
+    if not self_edges:
+        off = src != dst
+        src, dst, vals = src[off], dst[off], vals[off]
+        vertex_attrs = np.concatenate([vertex_attrs, diag(A)[:, None]], axis=1)
     if global_attrs is None:
         global_attrs = np.zeros(0)
-    # CSR entries are already sorted by (row=dst, col=src)
-    return AttributedGraph(A.n, np.column_stack([src, dst]), vertex_attrs,
+    # CSR entries are already sorted by (row=dst, col=src); .T is column-major
+    return AttributedGraph(A.n, np.stack([src, dst]).T, vertex_attrs,
                            vals[:, None], np.atleast_1d(global_attrs))
 
 

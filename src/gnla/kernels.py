@@ -143,6 +143,7 @@ def gnn_chebyshev(A: SparseMatrixCSR, b, x0, lam_min: float, lam_max: float,
 
     layer1 = GNLayerSpec(
         phi_v=lambda V, ebar, g: np.column_stack([V[:, 0], V[:, 1], V[:, 2] + V[:, 1]]),
+        rho_ev=[],
     )
 
     def phi_g2(g, e_agg, v_agg):
@@ -162,6 +163,7 @@ def gnn_chebyshev(A: SparseMatrixCSR, b, x0, lam_min: float, lam_max: float,
     layer3 = GNLayerSpec(
         phi_v=lambda V, ebar, g: np.column_stack(
             [V[:, 0], g[2] * g[3] * V[:, 1] + (2.0 * g[2] / g[0]) * V[:, 0], V[:, 2]]),
+        rho_ev=[],
     )
     for _ in range(n_iters):
         # the edge attribute is A_ij throughout; layer 2 recomputes c_ij in place
@@ -214,11 +216,13 @@ def gnn_power_method(A: SparseMatrixCSR, b0, iters: int) -> tuple[np.ndarray, fl
     norm_layer = GNLayerSpec(  # h1 <- ||b||
         phi_v=lambda V, ebar, g: np.column_stack([V[:, 0], V[:, 0] ** 2]),
         phi_g=phi_g_norm,
+        rho_ev=[],
         rho_eg=lambda E: np.zeros(0),
         rho_vg=lambda V: np.array([V[:, 1].sum()]),
     )
     renorm_layer = GNLayerSpec(
         phi_v=lambda V, ebar, g: np.column_stack([V[:, 0] / g[0], V[:, 1]]),
+        rho_ev=[],
     )
     edge0 = graph.edge_attrs
     for _ in range(iters):
@@ -238,6 +242,7 @@ def gnn_power_method(A: SparseMatrixCSR, b0, iters: int) -> tuple[np.ndarray, fl
     rayleigh2 = GNLayerSpec(  # lam <- h2 / b^T b
         phi_v=lambda V, ebar, g: np.column_stack([V[:, 0], V[:, 0] ** 2]),
         phi_g=lambda g, e_agg, v_agg: np.array([g[0], g[1], g[1] / v_agg[0]]),
+        rho_ev=[],
         rho_eg=lambda E: np.zeros(0),
         rho_vg=lambda V: np.array([V[:, 1].sum()]),
     )

@@ -149,6 +149,8 @@ def spmm_csr(A: SparseMatrixCSR, X: np.ndarray) -> np.ndarray:
 def segment_reduce(ufunc: np.ufunc, entries: np.ndarray, splits: np.ndarray) -> np.ndarray:
     """Reduce the slices ``entries[splits[k]:splits[k + 1]]`` along axis 0 with
     ``ufunc`` (np.add, np.minimum, np.maximum); empty slices reduce to zero."""
+    if len(splits) > 1 and np.all(splits[1:] > splits[:-1]):   # no empty slice
+        return ufunc.reduceat(entries, splits[:-1], axis=0).astype(np.float64, copy=False)
     out = np.zeros((len(splits) - 1,) + entries.shape[1:])
     nonempty = np.flatnonzero(np.diff(splits) > 0)
     if len(nonempty):

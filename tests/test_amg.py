@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd, tridiag
+from gnla import amg
 from gnla.amg import (CFPartition, cf_split_greedy, direct_interpolation,
                       soc_abs, soc_classic, soc_sa, step, two_level_solve)
 from gnla.kernels import jacobi_reference
-from gnla.sparse import diag, from_coo, from_dense, spmv_csr
+from gnla.sparse import SparseMatrixCSR, diag, from_coo, from_dense, spmv_csr
 
 
 def five_point_laplace(m: int):
@@ -164,6 +165,35 @@ def test_two_level_solve_is_scale_free():
     assert np.allclose(x_s, x, rtol=1e-10, atol=0)
 
 
+def test_two_level_solve_builds_no_dense_operator(monkeypatch):
+    # neither A.to_dense() (n x n) nor direct_interpolation's P (n x |C|)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense operator was built")
+
+    monkeypatch.setattr(SparseMatrixCSR, "to_dense", refuse)
+    monkeypatch.setattr(amg, "direct_interpolation", refuse)
+    A, b = tridiag(63), np.ones(63)
+    _, residuals = two_level_solve(A, b, iters=30, collect_residuals=True)
+    assert residuals[-1] < 1e-8
+    # tau = 1 leaves no strong connection: every vertex is C, P = I, and one
+    # cycle solves exactly
+    _, residuals = two_level_solve(A, b, tau=1.0, iters=1, collect_residuals=True)
+    assert residuals[-1] < 1e-12 * residuals[0]
+
+
+def test_two_level_solve_singular_coarse_matrix_raises():
+    # P = [1, 1]^T spans A's null space, so A_coarse = P^T A P is exactly 0
+    A = from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    S = soc_classic(A)
+    cf = cf_split_greedy(S)
+    _, P = direct_interpolation(A, S, cf)
+    assert np.array_equal(P, [[1.0], [1.0]])
+    _, rows, cols, vals = amg._interpolation(A, S, cf)
+    assert np.array_equal(amg._galerkin(A, rows, cols, vals, 1), [[0.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="^coarse matrix is singular$"):
+        two_level_solve(A, np.ones(2))
+
+
 # -- property tests of the layer kernels against dense per-row oracles ------
 
 SIGNED = st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0),        # ties and zeros
@@ -295,3 +325,21 @@ def test_direct_interpolation_f_rows_sum_from_strong_c_neighbours(case):
                 assert P[i, k] == 0.0
     want = 1.0 - dense[fine].sum(axis=1) / np.diag(dense)[fine]
     np.testing.assert_allclose(P[fine].sum(axis=1), want, rtol=1e-12, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weak_c_neighbour_cases(), st.booleans())
+def test_sparse_galerkin_product_matches_dense(case, all_coarse):
+    # each entry within 1e-13 of the magnitude of the terms it sums
+    A, S, cf = case
+    if all_coarse:
+        cf = CFPartition(np.full(A.n, "C"), {i: i for i in range(A.n)})
+    _, rows, cols, vals = amg._interpolation(A, S, cf)
+    _, P = direct_interpolation(A, S, cf)
+    dense = A.to_dense()
+    got = amg._galerkin(A, rows, cols, vals, cf.num_coarse)
+    want = P.T @ dense @ P
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(P).T @ np.abs(dense) @ np.abs(P)))
+    if all_coarse:   # P = I, so A_coarse is A itself
+        assert np.array_equal(P, np.eye(A.n)) and np.array_equal(got, dense)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
+from gnla import kernels
 from gnla.cli import main
 from gnla.sparse import identity, write_matrix_market
 
@@ -441,3 +442,16 @@ def test_svg_outputs(tmp_path):
 
 def test_demo_amg():
     assert main(["demo-amg", "--n", "31", "--iters", "20"]) == 0
+
+
+def test_demo_amg_names_the_tol_it_missed(capsys):
+    assert main(["demo-amg", "--n", "31", "--iters", "0"]) == 1
+    assert ("error: final residual 5.568e+00 not below --tol 1e-08"
+            in capsys.readouterr().err)
+
+
+def test_kernel_names_the_tol_it_missed(capsys, monkeypatch):
+    monkeypatch.setattr(kernels, "gnn_spmv", lambda A, x, self_edges=True: np.zeros(A.n))
+    assert main(["kernel", "spmv", "--n", "6"]) == 1
+    assert ("error: max relative discrepancy 1.000e+00 not below --tol 1e-10"
+            in capsys.readouterr().err)

@@ -56,6 +56,26 @@ def test_list_reducers_concatenate():
     assert np.array_equal(both[0], [6.0, 7.0])
 
 
+def test_empty_reducer_list_gives_zero_width_ebar():
+    g = small_graph()
+    assert aggregate_incoming(g, g.edge_attrs, []).shape == (3, 0)
+    widths = []
+    apply_layer(g, GNLayerSpec(phi_v=lambda V, ebar, g_: widths.append(ebar.shape) or V,
+                               rho_ev=[]))
+    assert widths == [(3, 0)]
+
+
+def test_edge_endpoints_are_contiguous():
+    A = random_spd(np.random.default_rng(0), 8, 0.4)
+    g = matrix_to_graph(A)
+    layer = GNLayerSpec(phi_e=lambda E, Vs, Vd, g_: E + Vs, phi_v=lambda V, ebar, g_: ebar)
+    for h in (g, matrix_to_graph(A, self_edges=False), small_graph(),
+              AttributedGraph(3, np.array([[1, 0], [0, 2]]), np.zeros((3, 1)),
+                              np.zeros((2, 1)), np.zeros(0)),
+              apply_layer(g, layer), with_attrs(g, vertex_attrs=np.ones((8, 2)))):
+        assert h.src.flags.c_contiguous and h.dst.flags.c_contiguous
+
+
 def test_edge_update_reads_original_vertices():
     # phi_e must see pre-update vertex attributes even though phi_v changes them
     g = small_graph()

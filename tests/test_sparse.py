@@ -124,6 +124,34 @@ def test_segment_reduce_empty_slices_give_zero(ufunc):
                           np.zeros((2, 2)))
 
 
+def _general_segment_reduce(ufunc, entries, splits):
+    """segment_reduce's general path: zeros, then reduceat on the non-empty slices."""
+    out = np.zeros((len(splits) - 1,) + entries.shape[1:])
+    nonempty = np.flatnonzero(np.diff(splits) > 0)
+    if len(nonempty):
+        out[nonempty] = ufunc.reduceat(entries, splits[:-1][nonempty], axis=0)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.add, np.minimum, np.maximum]), st.booleans(),
+       st.integers(0, 3), st.booleans(), st.data())
+def test_segment_reduce_matches_general_path_bitwise(ufunc, allow_empty, width,
+                                                     integer, data):
+    # every slice non-empty takes reduceat alone; the bits and dtype must not move
+    counts = data.draw(st.lists(st.integers(0 if allow_empty else 1, 4), max_size=10))
+    splits = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    shape = (int(splits[-1]),) + ((width,) if width else ())
+    size = int(np.prod(shape))
+    values = st.integers(-9, 9) if integer else st.floats(width=64)
+    entries = np.array(data.draw(st.lists(values, min_size=size, max_size=size)),
+                       dtype=np.int64 if integer else np.float64).reshape(shape)
+    got = segment_reduce(ufunc, entries, splits)
+    want = _general_segment_reduce(ufunc, entries, splits)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_empty_rows_sum_to_zero():
     A = from_coo(3, [0], [0], [2.0])
     assert np.array_equal(spmv_csr(A, np.ones(3)), [2.0, 0.0, 0.0])
