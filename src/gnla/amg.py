@@ -224,10 +224,9 @@ def _galerkin(A: SparseMatrixCSR, rows, cols, vals, nc: int) -> np.ndarray:
                        minlength=nc * nc).reshape(nc, nc)
 
 
-def two_level_solve(A: SparseMatrixCSR, b, tau: float = 0.25, omega: float = 2.0 / 3.0,
-                    pre_sweeps: int = 2, iters: int = 10,
+def two_level_solve(A: SparseMatrixCSR, b, tau: float = 0.25, iters: int = 10,
                     collect_residuals: bool = False):
-    """Two-level cycle: Jacobi sweeps, coarse correction, Jacobi sweeps.
+    """Two-level cycle: two Jacobi sweeps (omega = 2/3), coarse correction, two more.
 
     A minimal demonstration of the coarse-grid correction; the prolongator
     comes from classic strength, greedy splitting, and direct interpolation.
@@ -241,12 +240,12 @@ def two_level_solve(A: SparseMatrixCSR, b, tau: float = 0.25, omega: float = 2.0
         A_coarse_inv = np.linalg.inv(_galerkin(A, pr, pc, pv, cf.num_coarse))
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("coarse matrix is singular") from None
-    w = omega / diag(A)   # jacobi_reference's weights, computed once
+    w = (2.0 / 3.0) / diag(A)   # jacobi_reference's weights, computed once
     x = np.zeros(A.n)
     residuals = [float(np.linalg.norm(b - spmv_csr(A, x)))]
     for _ in range(iters):
         # Jacobi sweeps, the coarse correction, Jacobi sweeps, each from its residual
-        for coarse in [False] * pre_sweeps + [True] + [False] * pre_sweeps:
+        for coarse in (False, False, True, False, False):
             r = b - spmv_csr(A, x)
             if coarse:
                 y = A_coarse_inv @ np.bincount(pc, pv * r[pr], minlength=cf.num_coarse)

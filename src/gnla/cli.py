@@ -11,10 +11,9 @@ import sys
 import numpy as np
 
 from . import amg, kernels, nn, train as tr
-from .fem import (DiffusionDataConfig, JacobiDataConfig, diffusion_instance,
-                  gen_diffusion_dataset, gen_jacobi_dataset, jacobi_instance,
-                  read_instance, write_instance)
-from .sparse import (SparseMatrixCSR, atomic_write, dense_vector, from_coo,
+from .fem import (SPLITS, DiffusionDataConfig, JacobiDataConfig, dataset_instances,
+                  gen_dataset, read_instance, write_instance)
+from .sparse import (SparseMatrixCSR, atomic_write, dense_vector, diag, from_coo,
                      read_matrix_market, spectrum_bounds)
 
 CONFIG_VERSION = 1
@@ -80,17 +79,18 @@ def _write_dataset(out_dir: str, kind: str, dcfg, force: bool) -> dict:
     if os.path.exists(out_dir) and not force:
         raise UsageError(f"output directory {out_dir} exists (use --force)")
     os.makedirs(out_dir, exist_ok=True)
-    gen = gen_jacobi_dataset if kind == "jacobi" else gen_diffusion_dataset
-    splits = gen(dcfg)
+    # a run stopped part-way leaves no manifest over a mix of old and new instances
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if os.path.lexists(manifest_path):
+        os.remove(manifest_path)
     manifest = {"version": CONFIG_VERSION, "kind": kind,
                 "config": {**dcfg.__dict__, "counts": list(dcfg.counts)},
-                "splits": {}}
-    for split, instances in splits.items():
-        names = [f"inst_{inst.meta['index']:04d}" for inst in instances]
-        for name, inst in zip(names, instances):
-            write_instance(os.path.join(out_dir, name), inst)
-        manifest["splits"][split] = names
-    with atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
+                "splits": {split: [] for split in SPLITS}}
+    for split, inst in dataset_instances(dcfg):     # one instance in memory at a time
+        name = f"inst_{inst.meta['index']:04d}"
+        write_instance(os.path.join(out_dir, name), inst)
+        manifest["splits"][split].append(name)
+    with atomic_write(manifest_path) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
     # a --force run over a larger dataset must not leave its instances behind
     listed = {name for names in manifest["splits"].values() for name in names}
@@ -154,7 +154,7 @@ def cmd_kernel(args) -> int:
     name = args.name
     if name == "spmv":
         got = kernels.gnn_spmv(A, x, self_edges=not args.no_self_edges)
-        want = np.asarray(A.to_dense() @ x)
+        want = np.bincount(A.row_of_entry(), A.values * x[A.col_idx], minlength=A.n)
     elif name == "norm":
         got = kernels.gnn_weighted_norm(A, x)
         want = kernels.weighted_norm_reference(A, x)
@@ -168,13 +168,12 @@ def cmd_kernel(args) -> int:
     elif name == "power":
         got_v, got = kernels.gnn_power_method(A, x, args.iters)
         _, want = kernels.power_method_reference(A, x, args.iters)
-    elif name == "soc-classic":
-        got = amg.soc_classic(A, args.tau).to_dense()
-        want = _soc_classic_oracle(A, args.tau)
-    elif name == "soc-sa":
-        got = amg.soc_sa(A).to_dense()
-        D = np.diag(A.to_dense())
-        want = A.to_dense() ** 2 / np.outer(D, D) * (A.to_dense() != 0)
+    elif name in ("soc-classic", "soc-sa"):   # compared per stored entry of A
+        S = amg.soc_classic(A, args.tau) if name == "soc-classic" else amg.soc_sa(A)
+        if not (np.array_equal(S.row_ptr, A.row_ptr) and np.array_equal(S.col_idx, A.col_idx)):
+            raise ArithmeticError(f"{name} result does not keep the matrix's sparsity pattern")
+        got = S.values
+        want = _soc_classic_oracle(A, args.tau) if name == "soc-classic" else _soc_sa_oracle(A)
     else:
         raise UsageError(f"unknown kernel '{name}'")
     got_a, want_a = np.atleast_1d(got), np.atleast_1d(want)
@@ -189,16 +188,17 @@ def cmd_kernel(args) -> int:
 
 
 def _soc_classic_oracle(A: SparseMatrixCSR, tau: float) -> np.ndarray:
-    dense = A.to_dense()
-    out = np.zeros_like(dense)
-    for i in range(A.n):
-        row = dense[i].copy()
-        row[i] = 0.0
-        m = np.max(-row)
-        for j in range(A.n):
-            if dense[i, j] != 0:
-                out[i, j] = 1.0 if (-dense[i, j] / m - tau) > 0 else 0.0
-    return out
+    """Per stored entry: 1 where -A_ij / max_{k != i}(-A_ik) > tau, else 0."""
+    rows = A.row_of_entry()
+    row_max = np.full(A.n, -np.inf)
+    np.maximum.at(row_max, rows, np.where(rows != A.col_idx, -A.values, -np.inf))
+    return ((-A.values / row_max[rows] - tau) > 0).astype(np.float64)
+
+
+def _soc_sa_oracle(A: SparseMatrixCSR) -> np.ndarray:
+    """Per stored entry: A_ij^2 / (A_ii A_jj)."""
+    d = diag(A)
+    return A.values ** 2 / (d[A.row_of_entry()] * d[A.col_idx])
 
 
 # -- other subcommands --------------------------------------------------------
@@ -237,8 +237,7 @@ def cmd_train(args) -> int:
                     raise UsageError(f"dataset at {args.data} has N_y = {inst.meta.get('N_y')}, "
                                      f"but the config's dataset.N_y is {dcfg.N_y}")
     else:
-        gen = gen_jacobi_dataset if kind_cfg == "jacobi" else gen_diffusion_dataset
-        datasets = gen(dcfg)
+        datasets = gen_dataset(dcfg)
     for split in ("train", "val"):
         if not datasets[split]:
             raise UsageError(f"training needs a non-empty {split} split")

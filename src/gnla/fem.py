@@ -227,6 +227,9 @@ def sine_mode_basis(coords: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.nd
 
 # -- dataset generation -------------------------------------------------------
 
+SPLITS = ("train", "val", "test")      # the order of a config's counts
+
+
 def check_int(key: str, value, low: int) -> None:
     """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
@@ -292,14 +295,6 @@ def paper_diffusion_config(seed: int = 0) -> DiffusionDataConfig:
                                counts=(700, 200, 100), seed=seed)
 
 
-def _split(instances, counts):
-    (a, b, c), out = counts, {}
-    out["train"] = instances[:a]
-    out["val"] = instances[a:a + b]
-    out["test"] = instances[a + b:a + b + c]
-    return out
-
-
 def jacobi_instance(cfg: JacobiDataConfig, index: int) -> ProblemInstance:
     """Banded Dirichlet Laplace system; randomness from (seed, index)."""
     rng = np.random.default_rng([cfg.seed, index])
@@ -314,11 +309,6 @@ def jacobi_instance(cfg: JacobiDataConfig, index: int) -> ProblemInstance:
     return ProblemInstance(A, coords, h, None, meta)
 
 
-def gen_jacobi_dataset(cfg: JacobiDataConfig) -> dict[str, list[ProblemInstance]]:
-    total = sum(cfg.counts)
-    return _split([jacobi_instance(cfg, k) for k in range(total)], cfg.counts)
-
-
 def diffusion_instance(cfg: DiffusionDataConfig, index: int) -> ProblemInstance:
     rng = np.random.default_rng([cfg.seed, index])
     N = int(rng.integers(cfg.N_min, cfg.N_max + 1))
@@ -328,9 +318,26 @@ def diffusion_instance(cfg: DiffusionDataConfig, index: int) -> ProblemInstance:
     return inst
 
 
-def gen_diffusion_dataset(cfg: DiffusionDataConfig) -> dict[str, list[ProblemInstance]]:
-    total = sum(cfg.counts)
-    return _split([diffusion_instance(cfg, k) for k in range(total)], cfg.counts)
+def dataset_instances(cfg: JacobiDataConfig | DiffusionDataConfig):
+    """Yield (split, instance) in index order, building each one when asked for.
+
+    The instance function is a global looked up here, so rebinding it works.
+    """
+    make = jacobi_instance if isinstance(cfg, JacobiDataConfig) else diffusion_instance
+    splits = [split for split, count in zip(SPLITS, cfg.counts) for _ in range(count)]
+    for index, split in enumerate(splits):
+        yield split, make(cfg, index)
+
+
+def gen_dataset(cfg: JacobiDataConfig | DiffusionDataConfig) -> dict[str, list[ProblemInstance]]:
+    """Every split in memory, for training without a dataset directory."""
+    splits = {split: [] for split in SPLITS}
+    for split, inst in dataset_instances(cfg):
+        splits[split].append(inst)
+    return splits
+
+
+gen_jacobi_dataset = gen_diffusion_dataset = gen_dataset
 
 
 # -- disk format --------------------------------------------------------------

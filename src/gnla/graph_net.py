@@ -9,7 +9,7 @@ import numpy as np
 
 from .sparse import SparseMatrixCSR, diag, from_coo, segment_reduce
 
-Reducer = str | Callable | Sequence
+Reducer = str | Sequence[str]
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,13 @@ class GNLayerSpec:
       phi_e(edge_attrs, v_src_attrs, v_dst_attrs, g) -> new edge_attrs
       phi_v(vertex_attrs, aggregated_edge_attrs, g)  -> new vertex_attrs
       phi_g(g, edge_aggregate, vertex_aggregate)     -> new g
-    A ``None`` update leaves the corresponding attributes unchanged. Reducers
-    are named ('sum', 'mean', 'min', 'max') or lists of names, outputs
-    concatenated in list order (``rho_ev=[]`` gives phi_v a zero-width ebar);
-    ``rho_eg`` and ``rho_vg`` may also be callables on the whole attribute set.
+    A ``None`` update leaves the corresponding attributes unchanged.
+
+    One rule for all three reducers (``rho_ev`` per vertex over its incoming
+    edges, ``rho_eg`` and ``rho_vg`` over the whole edge and vertex sets): a
+    name ('sum', 'mean', 'min', 'max') or a list of names, outputs
+    concatenated in list order. ``[]`` gives a zero-width result, and an
+    empty set of rows reduces to zero.
     """
 
     phi_e: Callable | None = None
@@ -131,17 +134,30 @@ class GNLayerSpec:
     rho_vg: Reducer = "sum"
 
 
-def _segment_reduce(attrs: np.ndarray, splits: np.ndarray, name: str) -> np.ndarray:
-    """Reduce contiguous attribute blocks; empty blocks reduce to zero."""
+def _reduce_one(attrs: np.ndarray, splits: np.ndarray | None, name: str) -> np.ndarray:
+    """Reduce contiguous row blocks, or the whole set when ``splits`` is None;
+    empty blocks reduce to zero. The whole set is reduced one contiguous row
+    per column, so a 'sum' there has np.sum's pairwise bits."""
     if name == "mean":
-        total = _segment_reduce(attrs, splits, "sum")
-        counts = np.diff(splits)
-        return total / np.maximum(counts, 1)[:, None]
+        counts = len(attrs) if splits is None else np.diff(splits)[:, None]
+        return _reduce_one(attrs, splits, "sum") / np.maximum(counts, 1)
     try:
         ufunc = {"sum": np.add, "min": np.minimum, "max": np.maximum}[name]
     except KeyError:
         raise ValueError(f"unknown reducer '{name}'") from None
-    return segment_reduce(ufunc, attrs, splits)
+    if splits is not None:
+        return segment_reduce(ufunc, attrs, splits)
+    if len(attrs) == 0:
+        return np.zeros(attrs.shape[1])
+    return ufunc.reduce(np.ascontiguousarray(attrs.T), axis=1)
+
+
+def _reduce(attrs: np.ndarray, splits: np.ndarray | None, reducer: Reducer) -> np.ndarray:
+    """A name, or a list of names whose outputs are concatenated in list order."""
+    if isinstance(reducer, str):
+        return _reduce_one(attrs, splits, reducer)
+    empty = np.zeros((0,) if splits is None else (len(splits) - 1, 0))
+    return np.concatenate([empty] + [_reduce_one(attrs, splits, r) for r in reducer], axis=-1)
 
 
 def aggregate_incoming(graph: AttributedGraph, edge_attrs: np.ndarray,
@@ -155,21 +171,7 @@ def aggregate_incoming(graph: AttributedGraph, edge_attrs: np.ndarray,
     edge_attrs = np.asarray(edge_attrs, dtype=np.float64)
     if edge_attrs.ndim == 1:
         edge_attrs = edge_attrs[:, None]
-    splits = graph.incoming_splits()
-    if isinstance(reducer, str):
-        return _segment_reduce(edge_attrs, splits, reducer)
-    return np.concatenate([np.zeros((graph.num_vertices, 0))] +
-                          [aggregate_incoming(graph, edge_attrs, r) for r in reducer], axis=1)
-
-
-def _reduce_all(attrs: np.ndarray, reducer: Reducer) -> np.ndarray:
-    """Reduce a full attribute set (all edges or all vertices) to one vector."""
-    if isinstance(reducer, str):
-        splits = np.array([0, len(attrs)])
-        return _segment_reduce(attrs, splits, reducer)[0]
-    if callable(reducer):
-        return np.atleast_1d(reducer(attrs))
-    return np.concatenate([_reduce_all(attrs, r) for r in reducer])
+    return _reduce(edge_attrs, graph.incoming_splits(), reducer)
 
 
 def _check_finite(attrs: np.ndarray, kind: str) -> None:
@@ -208,8 +210,8 @@ def apply_layer(graph: AttributedGraph, layer: GNLayerSpec) -> AttributedGraph:
     else:
         V_new = V
     if layer.phi_g is not None:
-        e_agg = _reduce_all(E_new, layer.rho_eg)
-        v_agg = _reduce_all(V_new, layer.rho_vg)
+        e_agg = _reduce(E_new, None, layer.rho_eg)
+        v_agg = _reduce(V_new, None, layer.rho_vg)
         g_new = np.atleast_1d(np.asarray(layer.phi_g(g, e_agg, v_agg), dtype=np.float64))
         _check_finite(g_new, "global")
     else:
@@ -247,15 +249,16 @@ def matrix_to_graph(A: SparseMatrixCSR, self_edges: bool = True,
                            vals[:, None], np.atleast_1d(global_attrs))
 
 
-def graph_to_matrix(graph: AttributedGraph, attr_column: int = 0) -> SparseMatrixCSR:
-    """Inverse of ``matrix_to_graph``: edge (src=j, dst=i) becomes entry A_ij."""
-    if attr_column >= graph.edge_attrs.shape[1]:
-        raise ValueError(f"edge attribute column {attr_column} does not exist")
+def graph_to_matrix(graph: AttributedGraph) -> SparseMatrixCSR:
+    """Inverse of ``matrix_to_graph``: edge (src=j, dst=i) becomes entry A_ij,
+    the edge's first attribute."""
+    if graph.edge_attrs.shape[1] == 0:
+        raise ValueError("edges carry no attribute to form a matrix from")
     key = graph.dst * graph.num_vertices + graph.src
     if len(key) > 1 and np.any(np.diff(np.sort(key)) == 0):
         raise ValueError("duplicate (src, dst) edges cannot form a matrix")
     return from_coo(graph.num_vertices, graph.dst, graph.src,
-                    graph.edge_attrs[:, attr_column])
+                    graph.edge_attrs[:, 0])
 
 
 def with_attrs(graph: AttributedGraph, vertex_attrs=None, edge_attrs=None,

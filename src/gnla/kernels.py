@@ -56,7 +56,7 @@ def gnn_weighted_norm(W: SparseMatrixCSR, x) -> float:
                             global_attrs=np.zeros(1))
 
     def phi_g(g, e_agg, v_agg):
-        quad = v_agg[0]
+        quad = v_agg[1]     # v_agg sums each vertex column: here x_i (W x)_i
         if quad < 0:
             raise ValueError(f"quadratic form is negative ({quad}); matrix is not a valid weight")
         return np.array([math.sqrt(quad)])
@@ -66,7 +66,7 @@ def gnn_weighted_norm(W: SparseMatrixCSR, x) -> float:
         phi_v=lambda V, ebar, g: np.column_stack([V[:, 0], V[:, 0] * ebar[:, 0]]),
         phi_g=phi_g,
         rho_ev="sum",
-        rho_vg=lambda V: V[:, 1].sum(),
+        rho_eg=[],
     )
     return float(apply_layer(graph, layer).global_attrs[0])
 
@@ -157,8 +157,8 @@ def gnn_chebyshev(A: SparseMatrixCSR, b, x0, lam_min: float, lam_max: float,
         phi_v=lambda V, ebar, g: np.column_stack([V[:, 0] - ebar[:, 0], V[:, 1], V[:, 2]]),
         phi_g=phi_g2,
         rho_ev="sum",
-        rho_eg=lambda E: np.zeros(0),
-        rho_vg=lambda V: np.zeros(0),
+        rho_eg=[],
+        rho_vg=[],
     )
     layer3 = GNLayerSpec(
         phi_v=lambda V, ebar, g: np.column_stack(
@@ -192,7 +192,7 @@ def chebyshev_reference(A: SparseMatrixCSR, b, x0, lam_min: float, lam_max: floa
 def gnn_power_method(A: SparseMatrixCSR, b0, iters: int) -> tuple[np.ndarray, float]:
     """Dominant eigenpair: normalized power iterations then a Rayleigh quotient.
 
-    Vertex attrs are [b_i, y_i]; globals are [h1, h2, lam].
+    Vertex attrs are [b_i, y_i]; globals are [h1, h2, lam]; phi_g reads sum(y) as v_agg[1].
     """
     b0 = dense_vector(b0)
     if not np.sum(b0 * b0) > 0:     # zero, or its squares underflow
@@ -208,7 +208,7 @@ def gnn_power_method(A: SparseMatrixCSR, b0, iters: int) -> tuple[np.ndarray, fl
     )
 
     def phi_g_norm(g, e_agg, v_agg):
-        h1 = math.sqrt(v_agg[0])
+        h1 = math.sqrt(v_agg[1])
         if h1 == 0:
             raise ValueError("iterate hit the null space (||A b|| = 0)")
         return np.array([h1, g[1], g[2]])
@@ -217,8 +217,7 @@ def gnn_power_method(A: SparseMatrixCSR, b0, iters: int) -> tuple[np.ndarray, fl
         phi_v=lambda V, ebar, g: np.column_stack([V[:, 0], V[:, 0] ** 2]),
         phi_g=phi_g_norm,
         rho_ev=[],
-        rho_eg=lambda E: np.zeros(0),
-        rho_vg=lambda V: np.array([V[:, 1].sum()]),
+        rho_eg=[],
     )
     renorm_layer = GNLayerSpec(
         phi_v=lambda V, ebar, g: np.column_stack([V[:, 0] / g[0], V[:, 1]]),
@@ -234,17 +233,15 @@ def gnn_power_method(A: SparseMatrixCSR, b0, iters: int) -> tuple[np.ndarray, fl
     rayleigh1 = GNLayerSpec(  # h2 <- b^T A b
         phi_e=lambda E, Vs, Vd, g: E[:, :1] * Vs[:, :1],
         phi_v=lambda V, ebar, g: np.column_stack([V[:, 0], V[:, 0] * ebar[:, 0]]),
-        phi_g=lambda g, e_agg, v_agg: np.array([g[0], v_agg[0], g[2]]),
+        phi_g=lambda g, e_agg, v_agg: np.array([g[0], v_agg[1], g[2]]),
         rho_ev="sum",
-        rho_eg=lambda E: np.zeros(0),
-        rho_vg=lambda V: np.array([V[:, 1].sum()]),
+        rho_eg=[],
     )
     rayleigh2 = GNLayerSpec(  # lam <- h2 / b^T b
         phi_v=lambda V, ebar, g: np.column_stack([V[:, 0], V[:, 0] ** 2]),
-        phi_g=lambda g, e_agg, v_agg: np.array([g[0], g[1], g[1] / v_agg[0]]),
+        phi_g=lambda g, e_agg, v_agg: np.array([g[0], g[1], g[1] / v_agg[1]]),
         rho_ev=[],
-        rho_eg=lambda E: np.zeros(0),
-        rho_vg=lambda V: np.array([V[:, 1].sum()]),
+        rho_eg=[],
     )
     graph = apply_layer(apply_layer(graph, rayleigh1), rayleigh2)
     return graph.vertex_attrs[:, 0], float(graph.global_attrs[2])

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .graph_net import AttributedGraph
-from .sparse import SparseMatrixCSR, atomic_write, diag, segment_reduce
+from .graph_net import AttributedGraph, GNLayerSpec, apply_layer, matrix_to_graph
+from .sparse import SparseMatrixCSR, atomic_write
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -214,20 +214,14 @@ def diffusion_model_spec() -> ModelSpec:
 
 
 def jacobi_model_inputs(A: SparseMatrixCSR) -> np.ndarray:
-    """Per-vertex features: A_ii then [min, mean, sum, max] of the off-diagonal row."""
-    rows = A.row_of_entry()
-    off = rows != A.col_idx
-    vals, rows_off = A.values[off], rows[off]
-    feats = np.zeros((A.n, 5))
-    feats[:, 0] = diag(A)
-    counts = np.bincount(rows_off, minlength=A.n)
-    splits = np.concatenate(([0], np.cumsum(counts)))
-    feats[:, 1] = segment_reduce(np.minimum, vals, splits)
-    feats[:, 3] = segment_reduce(np.add, vals, splits)
-    feats[:, 4] = segment_reduce(np.maximum, vals, splits)
-    nonempty = counts > 0
-    feats[nonempty, 2] = feats[nonempty, 3] / counts[nonempty]
-    return feats
+    """Per-vertex features: A_ii then [min, mean, sum, max] of the off-diagonal row.
+
+    One graph-network layer: the aggregation turns each variable-size
+    neighbourhood into a fixed-size MLP input (zeros for an empty row).
+    """
+    layer = GNLayerSpec(phi_v=lambda V, ebar, g: np.concatenate([V, ebar], axis=1),
+                        rho_ev=["min", "mean", "sum", "max"])
+    return apply_layer(matrix_to_graph(A, self_edges=False), layer).vertex_attrs
 
 
 def jacobi_model_forward(A: SparseMatrixCSR, store: ParamStore,

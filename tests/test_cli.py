@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
-from gnla import kernels
+from gnla import amg, fem, kernels
 from gnla.cli import main
 from gnla.sparse import identity, write_matrix_market
 
@@ -161,6 +161,44 @@ def test_gen_data_same_seed_identical_bytes(tmp_path):
             rel = os.path.relpath(os.path.join(root, fname), tmp_path / "a")
             assert (open(os.path.join(tmp_path, "a", rel), "rb").read()
                     == open(os.path.join(tmp_path, "b", rel), "rb").read()), rel
+
+
+def test_gen_data_writes_each_instance_before_building_the_next(tmp_path, monkeypatch):
+    out, real, on_disk = tmp_path / "data", fem.jacobi_instance, []
+
+    def instance(cfg, index):
+        on_disk.append(sorted(p.parent.name for p in out.glob("inst_*/coords.csv")))
+        return real(cfg, index)
+
+    monkeypatch.setattr(fem, "jacobi_instance", instance)
+    assert main(["gen-data", "--config", run_config(tmp_path), "--out", str(out)]) == 0
+    assert on_disk == [[f"inst_{k:04d}" for k in range(index)] for index in range(7)]
+
+
+def test_gen_data_stopped_run_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    cfg, out, real = run_config(tmp_path), tmp_path / "data", fem.jacobi_instance
+    assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+
+    def instance(cfg, index):
+        if index == 2:
+            raise RuntimeError("stopped at instance 2")
+        return real(cfg, index)
+
+    monkeypatch.setattr(fem, "jacobi_instance", instance)
+    assert main(["gen-data", "--config", cfg, "--out", str(out), "--force"]) == 1
+    assert not (out / "manifest.json").exists()
+    assert main(["train", "jacobi", "--config", cfg, "--data", str(out),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "cannot read dataset manifest" in capsys.readouterr().err
+
+
+def test_gen_data_lists_a_zero_count_split_as_empty(tmp_path):
+    cfg = run_config(tmp_path, dataset={"kind": "jacobi", "N_y": 8, "counts": [2, 0, 1]})
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["splits"] == {"train": ["inst_0000", "inst_0001"], "val": [],
+                                  "test": ["inst_0002"]}
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -448,6 +486,16 @@ def test_demo_amg_names_the_tol_it_missed(capsys):
     assert main(["demo-amg", "--n", "31", "--iters", "0"]) == 1
     assert ("error: final residual 5.568e+00 not below --tol 1e-08"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("soc-sa", lambda A: identity(A.n), "does not keep the matrix's sparsity pattern"),
+    ("soc-classic", lambda A, tau: A, "max relative discrepancy"),
+])
+def test_kernel_soc_checks_pattern_and_values(capsys, monkeypatch, name, fake, message):
+    monkeypatch.setattr(amg, name.replace("-", "_"), fake)
+    assert main(["kernel", name, "--n", "6"]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_kernel_names_the_tol_it_missed(capsys, monkeypatch):

@@ -164,6 +164,13 @@ def test_graph_to_matrix_rejects_duplicate_edges():
         graph_to_matrix(g)
 
 
+def test_graph_to_matrix_needs_an_edge_attribute():
+    g = AttributedGraph(2, np.array([[0, 1]]), np.zeros((2, 1)), np.zeros((1, 0)),
+                        np.zeros(1))
+    with pytest.raises(ValueError, match="no attribute"):
+        graph_to_matrix(g)
+
+
 def test_with_attrs_replaces_selected_sets():
     g = small_graph()
     out = with_attrs(g, global_attrs=np.array([9.0]))
@@ -191,13 +198,14 @@ def test_layers_share_their_parents_topology():
 
 NAMES = ["sum", "mean", "min", "max"]
 REDUCERS = st.one_of(st.sampled_from(NAMES),
-                     st.lists(st.sampled_from(NAMES), min_size=1, max_size=3))
+                     st.lists(st.sampled_from(NAMES), min_size=0, max_size=3))
 
 
 def _reference_reduce(block: np.ndarray, reducer) -> np.ndarray:
-    """Fold the rows of ``block`` left to right; an empty block gives zeros."""
+    """Fold the rows of ``block`` left to right; an empty block gives zeros,
+    and an empty reducer list a zero-width result."""
     if not isinstance(reducer, str):
-        return np.concatenate([_reference_reduce(block, r) for r in reducer])
+        return np.concatenate([np.zeros(0)] + [_reference_reduce(block, r) for r in reducer])
     if len(block) == 0:
         return np.zeros(block.shape[1])
     if reducer == "mean":
