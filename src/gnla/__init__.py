@@ -7,11 +7,10 @@ stack (tape autodiff, MLPs, Adam) learns per-row relaxation diagonals and
 pointwise diffusion coefficients from assembled finite-element matrices.
 """
 
-from .amg import (CFPartition, cf_split_greedy, direct_interpolation, soc_abs,
-                  soc_classic, soc_sa, two_level_solve)
+from .amg import (CFPartition, cf_split_greedy, direct_interpolation, soc_classic,
+                  soc_sa, two_level_solve)
 from .graph_net import (AttributedGraph, GNLayerSpec, aggregate_incoming,
-                        apply_layer, apply_layers, graph_to_matrix, make_graph,
-                        matrix_to_graph)
+                        apply_layer, graph_to_matrix, make_graph, matrix_to_graph)
 from .kernels import (chebyshev_reference, gnn_chebyshev, gnn_jacobi,
                       gnn_power_method, gnn_spmv, gnn_weighted_norm,
                       jacobi_reference, power_method_reference,

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_net import (GNLayerSpec, apply_layer, apply_layers, graph_to_matrix,
-                        matrix_to_graph, with_attrs)
-from .sparse import SparseMatrixCSR, dense_vector, diag, spmv_csr
+from .graph_net import (GNLayerSpec, apply_layer, graph_to_matrix, matrix_to_graph,
+                        with_attrs)
+from .sparse import SparseMatrixCSR, dense_vector, diag, from_coo, spmv_csr
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ def soc_classic(A: SparseMatrixCSR, tau: float = 0.25) -> SparseMatrixCSR:
     """
     if not (0 < tau <= 1):
         raise ValueError("tau must lie in (0, 1]")
-    graph = matrix_to_graph(A, self_edges=True,
-                            vertex_attrs=np.zeros((A.n, 1)))
+    graph = matrix_to_graph(A, self_edges=True)   # no vertex attribute until layer 1
     off_diag = (graph.src != graph.dst)[:, None]
     # layer 1: row maximum of -A_ij over off-diagonal edges; the self-edge's 0
     # leaves a row without a negative off-diagonal at v <= 0
@@ -83,29 +82,6 @@ def soc_classic(A: SparseMatrixCSR, tau: float = 0.25) -> SparseMatrixCSR:
     return graph_to_matrix(apply_layer(mid, layer2))
 
 
-def soc_abs(A: SparseMatrixCSR, theta: float) -> SparseMatrixCSR:
-    """Magnitude-based strength mask: |A_ij| >= theta * max_{k != i} |A_ik|.
-
-    The diagonal is excluded from both the row maximum and the mask. Returns
-    a 0/1-valued matrix on A's pattern.
-    """
-    if not (0 < theta <= 1):
-        raise ValueError("theta must lie in (0, 1]")
-    graph = matrix_to_graph(A, self_edges=True, vertex_attrs=np.zeros((A.n, 1)))
-    off_diag = (graph.src != graph.dst)[:, None]
-    # layer 1: row maximum of |A_ij| over off-diagonal edges (0 on the self-edge)
-    layer1 = GNLayerSpec(
-        phi_e=lambda E, Vs, Vd, g: np.where(off_diag, np.abs(E), 0.0),
-        phi_v=lambda V, ebar, g: ebar,
-        rho_ev="max",
-    )
-    # layer 2: each edge now carries its masked |A_ij| and compares it with
-    # the row maximum at its destination
-    layer2 = GNLayerSpec(
-        phi_e=lambda E, Vs, Vd, g: ((E >= theta * Vd) & off_diag).astype(np.float64))
-    return graph_to_matrix(apply_layers(graph, [layer1, layer2]))
-
-
 def cf_split_greedy(S_hat: SparseMatrixCSR) -> CFPartition:
     """Greedy maximal independent set in the (symmetrized) strength graph.
 
@@ -114,32 +90,33 @@ def cf_split_greedy(S_hat: SparseMatrixCSR) -> CFPartition:
     """
     n = S_hat.n
     rows = S_hat.row_of_entry()
-    strong = S_hat.values != 0
-    off = rows != S_hat.col_idx
-    keep = strong & off
-    neighbors = [set() for _ in range(n)]
-    for i, j in zip(rows[keep], S_hat.col_idx[keep]):
-        neighbors[i].add(int(j))
-        neighbors[j].add(int(i))
-    labels = np.full(n, "", dtype=object)
-    for i in range(n):
-        if labels[i] == "":
-            labels[i] = "C"
-            for j in neighbors[i]:
-                if labels[j] == "":
-                    labels[j] = "F"
-    coarse = {int(i): k for k, i in enumerate(np.flatnonzero(labels == "C"))}
-    return CFPartition(labels.astype("U1"), coarse)
+    keep = (S_hat.values != 0) & (rows != S_hat.col_idx)
+    i, j = rows[keep], S_hat.col_idx[keep]
+    # the symmetrized strong graph as one CSR; duplicates (i->j and j->i) merge
+    G = from_coo(n, np.concatenate((i, j)), np.concatenate((j, i)), np.ones(2 * len(i)),
+                 sum_duplicates=True)
+    ptr, nbr = G.row_ptr.tolist(), G.col_idx.tolist()
+    labels = [""] * n
+    for v in range(n):
+        if not labels[v]:
+            labels[v] = "C"
+            for u in nbr[ptr[v]:ptr[v + 1]]:
+                if not labels[u]:
+                    labels[u] = "F"
+    labels = np.array(labels, dtype="U1")
+    coarse = {int(v): k for k, v in enumerate(np.flatnonzero(labels == "C"))}
+    return CFPartition(labels, coarse)
 
 
 def direct_interpolation(A: SparseMatrixCSR, S_hat: SparseMatrixCSR,
                          cf: CFPartition) -> tuple[SparseMatrixCSR, np.ndarray]:
     """Direct interpolation weights via two layers plus post-processing.
 
-    With s_ij = [S_hat_ij != 0] for j != i (and s_ii = 0), layer 1 passes the
-    coarse indicator to each edge and forms, per vertex,
-    alpha_i = (sum_j A_ij) / (A_ii * sum_j A_ij C_j s_ij) with both sums over
-    off-diagonal stored entries. Layer 2 sets P_ij = (1-C_i)(-A_ij alpha_i s_ij),
+    Vertex attrs start as [C_i], the coarse indicator. With s_ij = [S_hat_ij != 0]
+    for j != i (and s_ii = 0), layer 1 passes C_j to each edge and forms, per
+    vertex, alpha_i = (sum_j A_ij) / (A_ii * sum_j A_ij C_j s_ij) with both sums
+    over off-diagonal stored entries; its vertex update captures A_ii and
+    writes [C_i, alpha_i]. Layer 2 sets P_ij = (1-C_i)(-A_ij alpha_i s_ij),
     so an F row interpolates from its strong C neighbours only and sums to
     1 - (sum_j A_ij) / A_ii over all j. Post-processing puts 1 on the diagonal
     of C rows and removes F columns.
@@ -159,36 +136,35 @@ def _interpolation(A: SparseMatrixCSR, S_hat: SparseMatrixCSR, cf: CFPartition):
     d = diag(A)
     C = cf.indicator()
     shat_vals = _aligned_values(A, S_hat)
-    graph = matrix_to_graph(A, self_edges=True,
-                            vertex_attrs=np.column_stack([d, C, np.zeros(A.n)]))
+    graph = matrix_to_graph(A, self_edges=True, vertex_attrs=C[:, None])
     off_diag = (graph.src != graph.dst)[:, None]
     strong = off_diag & (shat_vals != 0)[:, None]
 
     def phi_v1(V, ebar, g):
         alpha = np.zeros(len(V))
-        fine = V[:, 1] == 0
-        den = V[:, 0] * ebar[:, 1]
+        fine = V[:, 0] == 0
+        den = d * ebar[:, 1]
         bad = fine & (den == 0)
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
             raise ValueError(f"F row {i} has no usable strong coarse neighbors")
         alpha[fine] = ebar[fine, 0] / den[fine]
-        return np.column_stack([V[:, 0], V[:, 1], alpha])
+        return np.column_stack([V[:, 0], alpha])
 
     # layer 1: each edge writes A_ij and A_ij C_j [S_hat_ij != 0], both 0 on
     # the self-edge; their sums are alpha_i's numerator and denominator
     layer1 = GNLayerSpec(
         phi_e=lambda E, Vs, Vd, g: np.column_stack(
-            [np.where(off_diag, E, 0.0), np.where(strong, E * Vs[:, 1:2], 0.0)]),
+            [np.where(off_diag, E, 0.0), np.where(strong, E * Vs[:, :1], 0.0)]),
         phi_v=phi_v1,
         rho_ev="sum",
     )
     mid = apply_layer(graph, layer1)
 
     def phi_e2(E, Vs, Vd, g):
-        p = (1.0 - Vd[:, 1]) * (-graph.edge_attrs[:, 0] * Vd[:, 2]) * strong[:, 0]
+        p = (1.0 - Vd[:, 0]) * (-graph.edge_attrs[:, 0] * Vd[:, 1]) * strong[:, 0]
         # post-processing step (a): unit diagonal on C rows
-        p = p + Vd[:, 1] * ~off_diag[:, 0]
+        p = p + Vd[:, 0] * ~off_diag[:, 0]
         return p[:, None]
 
     P_square = graph_to_matrix(apply_layer(mid, GNLayerSpec(phi_e=phi_e2)))

@@ -109,6 +109,12 @@ def load_dataset(data_dir: str, splits: tuple[str, ...]) -> tuple[str, dict]:
             manifest = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read dataset manifest: {exc}") from None
+    except ValueError as exc:     # not JSON, or not text
+        raise UsageError(f"dataset manifest {path} is not valid JSON: {exc}") from None
+    if not (isinstance(manifest, dict) and "kind" in manifest
+            and isinstance(manifest.get("splits"), dict)):
+        raise UsageError(f"dataset manifest {path} must be a JSON object "
+                         "with 'kind' and a 'splits' object")
     missing = [split for split in splits if split not in manifest["splits"]]
     if missing:
         raise UsageError(f"dataset at {data_dir} has no {missing} split")

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sparse import SparseMatrixCSR, diag, from_coo, segment_reduce
+from .sparse import SparseMatrixCSR, diag, segment_reduce
 
 Reducer = str | Sequence[str]
 
@@ -219,12 +219,6 @@ def apply_layer(graph: AttributedGraph, layer: GNLayerSpec) -> AttributedGraph:
     return _same_topology(graph, V_new, E_new, g_new)
 
 
-def apply_layers(graph: AttributedGraph, layers: Sequence[GNLayerSpec]) -> AttributedGraph:
-    for layer in layers:
-        graph = apply_layer(graph, layer)
-    return graph
-
-
 def matrix_to_graph(A: SparseMatrixCSR, self_edges: bool = True,
                     vertex_attrs=None, global_attrs=None) -> AttributedGraph:
     """View a square sparse matrix as an attributed graph.
@@ -251,14 +245,16 @@ def matrix_to_graph(A: SparseMatrixCSR, self_edges: bool = True,
 
 def graph_to_matrix(graph: AttributedGraph) -> SparseMatrixCSR:
     """Inverse of ``matrix_to_graph``: edge (src=j, dst=i) becomes entry A_ij,
-    the edge's first attribute."""
+    the edge's first attribute. Canonical (dst, src) order is CSR order, so the
+    read-only incoming splits are the row pointer; columns and values are copies,
+    so a later change to the graph's arrays leaves the matrix as it is."""
     if graph.edge_attrs.shape[1] == 0:
         raise ValueError("edges carry no attribute to form a matrix from")
     key = graph.dst * graph.num_vertices + graph.src
-    if len(key) > 1 and np.any(np.diff(np.sort(key)) == 0):
+    if np.any(np.diff(key) == 0):
         raise ValueError("duplicate (src, dst) edges cannot form a matrix")
-    return from_coo(graph.num_vertices, graph.dst, graph.src,
-                    graph.edge_attrs[:, 0])
+    return SparseMatrixCSR(graph.num_vertices, graph.incoming_splits(), graph.src.copy(),
+                           graph.edge_attrs[:, 0].copy())
 
 
 def with_attrs(graph: AttributedGraph, vertex_attrs=None, edge_attrs=None,

@@ -51,19 +51,18 @@ def gnn_weighted_norm(W: SparseMatrixCSR, x) -> float:
     x = dense_vector(x)
     if len(x) != W.n:
         raise ValueError("dimension mismatch between matrix and vector")
-    graph = matrix_to_graph(W, self_edges=True,
-                            vertex_attrs=np.column_stack([x, np.zeros_like(x)]),
+    graph = matrix_to_graph(W, self_edges=True, vertex_attrs=x[:, None],
                             global_attrs=np.zeros(1))
 
     def phi_g(g, e_agg, v_agg):
-        quad = v_agg[1]     # v_agg sums each vertex column: here x_i (W x)_i
+        quad = v_agg[0]     # the vertex update left x_i (W x)_i; v_agg sums it
         if quad < 0:
             raise ValueError(f"quadratic form is negative ({quad}); matrix is not a valid weight")
         return np.array([math.sqrt(quad)])
 
     layer = GNLayerSpec(
         phi_e=lambda E, Vs, Vd, g: E[:, :1] * Vs[:, :1],
-        phi_v=lambda V, ebar, g: np.column_stack([V[:, 0], V[:, 0] * ebar[:, 0]]),
+        phi_v=lambda V, ebar, g: V * ebar,
         phi_g=phi_g,
         rho_ev="sum",
         rho_eg=[],
@@ -80,19 +79,19 @@ def weighted_norm_reference(W: SparseMatrixCSR, x) -> float:
 
 def gnn_jacobi(A: SparseMatrixCSR, b, x0, omega: float, iters: int) -> np.ndarray:
     """`iters` sweeps of x <- x + omega D^{-1} (b - A x) as repeated layers."""
-    b, x0 = dense_vector(b), dense_vector(x0)
+    b, x0 = dense_vector(b), dense_vector(x0).copy()   # the result never aliases x0
+    if len(b) != A.n or len(x0) != A.n:
+        raise ValueError("dimension mismatch between matrix and vectors")
     d = diag(A)
     zero_rows = np.flatnonzero(d == 0)
     if len(zero_rows):
         raise ValueError(f"zero diagonal in row {zero_rows[0]}")
-    # vertex attrs: [x_i, A_ii, b_i]
-    graph = matrix_to_graph(A, self_edges=True,
-                            vertex_attrs=np.column_stack([x0, d, b]),
+    # vertex attrs: [x_i], the iterate; the vertex update captures A_ii and b_i
+    graph = matrix_to_graph(A, self_edges=True, vertex_attrs=x0[:, None],
                             global_attrs=np.array([omega]))
     layer = GNLayerSpec(
         phi_e=lambda E, Vs, Vd, g: E[:, :1] * Vs[:, :1],
-        phi_v=lambda V, ebar, g: np.column_stack(
-            [V[:, 0] + g[0] / V[:, 1] * (V[:, 2] - ebar[:, 0]), V[:, 1], V[:, 2]]),
+        phi_v=lambda V, ebar, g: (V[:, 0] + g[0] / d * (b - ebar[:, 0]))[:, None],
         rho_ev="sum",
     )
     edge0 = graph.edge_attrs
@@ -192,18 +191,19 @@ def chebyshev_reference(A: SparseMatrixCSR, b, x0, lam_min: float, lam_max: floa
 def gnn_power_method(A: SparseMatrixCSR, b0, iters: int) -> tuple[np.ndarray, float]:
     """Dominant eigenpair: normalized power iterations then a Rayleigh quotient.
 
-    Vertex attrs are [b_i, y_i]; globals are [h1, h2, lam]; phi_g reads sum(y) as v_agg[1].
+    Vertex attrs are [b_i], the iterate; globals are [h1, h2, lam]. A layer
+    whose phi_g needs a sum over the vertices writes [b_i, y_i] and reads
+    sum(y) as v_agg[1]; the layer after it reads b_i only.
     """
     b0 = dense_vector(b0)
     if not np.sum(b0 * b0) > 0:     # zero, or its squares underflow
         raise ValueError("b0 must have a nonzero norm")
-    graph = matrix_to_graph(A, self_edges=True,
-                            vertex_attrs=np.column_stack([b0, np.zeros_like(b0)]),
+    graph = matrix_to_graph(A, self_edges=True, vertex_attrs=b0[:, None],
                             global_attrs=np.zeros(3))
 
     spmv_layer = GNLayerSpec(  # b <- A b
         phi_e=lambda E, Vs, Vd, g: E[:, :1] * Vs[:, :1],
-        phi_v=lambda V, ebar, g: np.column_stack([ebar[:, 0], V[:, 1]]),
+        phi_v=lambda V, ebar, g: ebar,
         rho_ev="sum",
     )
 
@@ -220,7 +220,7 @@ def gnn_power_method(A: SparseMatrixCSR, b0, iters: int) -> tuple[np.ndarray, fl
         rho_eg=[],
     )
     renorm_layer = GNLayerSpec(
-        phi_v=lambda V, ebar, g: np.column_stack([V[:, 0] / g[0], V[:, 1]]),
+        phi_v=lambda V, ebar, g: V[:, :1] / g[0],
         rho_ev=[],
     )
     edge0 = graph.edge_attrs

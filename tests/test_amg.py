@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_spd, tridiag
 from gnla import amg
 from gnla.amg import (CFPartition, cf_split_greedy, direct_interpolation,
-                      soc_abs, soc_classic, soc_sa, step, two_level_solve)
+                      soc_classic, soc_sa, step, two_level_solve)
 from gnla.kernels import jacobi_reference
 from gnla.sparse import SparseMatrixCSR, diag, from_coo, from_dense, spmv_csr
 
@@ -84,12 +84,6 @@ def test_soc_classic_no_negative_offdiag_raises():
 def test_soc_classic_tau_validation():
     with pytest.raises(ValueError):
         soc_classic(tridiag(5), tau=0.0)
-
-
-def test_soc_abs_pattern():
-    A = tridiag(6)
-    S = soc_abs(A, 0.5).to_dense()
-    assert np.array_equal(S, (np.abs(A.to_dense()) >= 1.0) * (1 - np.eye(6)))
 
 
 def test_cf_split_is_maximal_independent_set():
@@ -234,20 +228,14 @@ def m_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(general_matrices(), st.sampled_from([0.25, 0.5, 1.0]))
 def test_soc_layers_match_row_oracles(A, tau):
-    want_abs, want_classic, undefined = [], [], []
+    want_classic, undefined = [], []
     for i in range(A.n):
         cols, vals = A.row(i)
-        off_vals = vals[cols != i]
-        m_abs = max(np.abs(off_vals), default=0.0)
-        m_neg = max(-off_vals, default=-np.inf)
-        want_abs += [float(j != i and abs(a) >= tau * m_abs) for j, a in zip(cols, vals)]
+        m_neg = max(-vals[cols != i], default=-np.inf)
         if m_neg > 0:
             want_classic += [float(-a / m_neg - tau > 0) for a in vals]
         else:
             undefined.append(i)
-    S = soc_abs(A, tau)
-    assert np.array_equal(S.row_ptr, A.row_ptr) and np.array_equal(S.col_idx, A.col_idx)
-    assert np.array_equal(S.values, want_abs)
     if undefined:
         with pytest.raises(ValueError, match=f"row {undefined[0]} has no negative"):
             soc_classic(A, tau)
@@ -255,6 +243,36 @@ def test_soc_layers_match_row_oracles(A, tau):
         S = soc_classic(A, tau)
         assert np.array_equal(S.col_idx, A.col_idx)
         assert np.array_equal(S.values, want_classic)
+
+
+def _set_greedy_labels(S_hat) -> list[str]:
+    """The greedy split written with one Python set of strong neighbours per
+    vertex (either direction, diagonal and stored zeros excluded)."""
+    neighbors = [set() for _ in range(S_hat.n)]
+    for i in range(S_hat.n):
+        for j, s in zip(*S_hat.row(i)):
+            if s != 0 and j != i:
+                neighbors[i].add(int(j))
+                neighbors[j].add(i)
+    labels = [""] * S_hat.n
+    for i in range(S_hat.n):
+        if labels[i] == "":
+            labels[i] = "C"
+            for j in neighbors[i]:
+                if labels[j] == "":
+                    labels[j] = "F"
+    return labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_matrices())
+def test_cf_split_matches_set_based_greedy(S_hat):
+    # P keeps its bits only if every label does
+    cf = cf_split_greedy(S_hat)
+    want = _set_greedy_labels(S_hat)
+    assert cf.labels.dtype == np.dtype("U1") and cf.labels.tolist() == want
+    assert cf.coarse_index == {i: k for k, i in enumerate(
+        i for i, label in enumerate(want) if label == "C")}
 
 
 @settings(max_examples=300, deadline=None)

@@ -460,6 +460,27 @@ def test_manifest_without_the_split_is_usage_error(tmp_path, capsys):
     assert "has no ['test'] split" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("broken, message", [
+    (lambda m: "{kind: jacobi", "is not valid JSON"),
+    (lambda m: json.dumps([m]), "must be a JSON object with 'kind' and a 'splits' object"),
+    (lambda m: json.dumps({k: v for k, v in m.items() if k != "kind"}), "must be a JSON object"),
+    (lambda m: json.dumps({k: v for k, v in m.items() if k != "splits"}), "must be a JSON object"),
+], ids=["not-json", "not-an-object", "no-kind", "no-splits"])
+def test_broken_manifest_is_usage_error(tmp_path, capsys, command, broken, message):
+    cfg = run_config(tmp_path)
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    path = data / "manifest.json"
+    path.write_text(broken(json.loads(path.read_text())))
+    capsys.readouterr()
+    args = (["train", "jacobi", "--config", cfg] if command == "train"
+            else ["eval", "jacobi", "--omega", "0.6667"])
+    assert main(args + ["--data", str(data), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: dataset manifest {path} ") and message in err
+
+
 def test_train_twice_identical_outputs(tmp_path):
     cfg = run_config(tmp_path)
     for name in ("r1", "r2"):

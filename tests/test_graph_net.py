@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_spd
 from gnla.graph_net import (AttributedGraph, GNLayerSpec, aggregate_incoming,
-                            apply_layer, apply_layers, graph_to_matrix,
+                            apply_layer, graph_to_matrix,
                             make_graph, matrix_to_graph, with_attrs)
 from gnla.sparse import diag, from_dense, spmv_csr
 
@@ -136,7 +136,9 @@ def test_non_finite_update_raises():
 
 def test_topology_never_changes():
     g = small_graph()
-    out = apply_layers(g, [GNLayerSpec(phi_e=lambda E, Vs, Vd, g_: E * 2)] * 3)
+    out = g
+    for _ in range(3):
+        out = apply_layer(out, GNLayerSpec(phi_e=lambda E, Vs, Vd, g_: E * 2))
     assert np.array_equal(out.edges, g.edges)
     assert np.array_equal(out.edge_attrs[:, 0], g.edge_attrs[:, 0] * 8)
 
@@ -147,7 +149,18 @@ def test_matrix_graph_roundtrip(n, seed):
     rng = np.random.default_rng(seed)
     A = random_spd(rng, n, 0.3)
     B = graph_to_matrix(matrix_to_graph(A))
-    assert np.array_equal(B.to_dense(), A.to_dense())
+    for got, want in ((B.row_ptr, A.row_ptr), (B.col_idx, A.col_idx), (B.values, A.values)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_graph_to_matrix_does_not_alias_the_graph():
+    g = small_graph()   # edges (1->0), (2->0), (0->2) carrying 7, 6, 5
+    B = graph_to_matrix(g)
+    g.edge_attrs[:] = -1.0
+    g.edges[:] = 0
+    assert np.array_equal(B.row_ptr, [0, 2, 2, 3])
+    assert np.array_equal(B.col_idx, [1, 2, 0])
+    assert np.array_equal(B.values, [7.0, 6.0, 5.0])
 
 
 def test_matrix_to_graph_without_self_edges():

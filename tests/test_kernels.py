@@ -67,6 +67,15 @@ def test_jacobi_zero_diagonal_raises():
         gnn_jacobi(A, np.ones(2), np.zeros(2), 1.0, 1)
 
 
+def test_jacobi_checks_lengths_and_never_returns_x0():
+    A, x0 = tridiag(3), np.ones(3)
+    for b in (np.ones(1), np.ones(4)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gnn_jacobi(A, b, x0, 1.0, 0)
+    x = gnn_jacobi(A, np.ones(3), x0, 1.0, 0)
+    assert np.array_equal(x, x0) and not np.shares_memory(x, x0)
+
+
 def test_jacobi_converges_on_dominant_system():
     A = tridiag(12)
     b = np.ones(12)
